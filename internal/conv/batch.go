@@ -2,6 +2,8 @@ package conv
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"pbqpdnn/internal/gemm"
 	"pbqpdnn/internal/tensor"
@@ -22,7 +24,8 @@ import (
 //   - im2col: images lie side by side as column blocks of one wide
 //     patch matrix, one GEMM, then a per-image writeback;
 //   - wino2d: the kernel transform is computed once for the batch and
-//     the pointwise stage becomes one M×(C)·(C×tiles·N) GEMM per
+//     the tiles of all N images are cut into fixed-size blocks, each
+//     run start to finish by one worker with one (Tb×C)·(C×M) GEMM per
 //     Winograd-domain point — the transformed kernel is amortized over
 //     every tile of every image.
 //
@@ -259,23 +262,30 @@ func im2colBatchFused(kind gemmKind) func(dst, in *tensor.Batch, k *Kernel, s Sc
 	}
 }
 
-// wino2DBatch builds the batched 2D Winograd entry. The kernel
-// transform runs once per call and is shared by every tile of every
-// image; the pointwise stage is restructured from per-tile channel
-// loops into one GEMM per Winograd-domain point. The VF4/VF8 lane
-// variants of the per-image primitive deliberately share this one
-// batched implementation: the GEMM subsumes lane blocking, so the
-// vector factor only differentiates the cost model's pricing, not the
-// batched execution.
+// wino2DBatch builds the batched 2D Winograd entry: a tile-blocked
+// pipeline over the tiles of all N images. The VF4/VF8 lane variants of
+// the per-image primitive deliberately share this one batched
+// implementation: the GEMM subsumes lane blocking, so the vector factor
+// only differentiates the cost model's pricing, not the batched
+// execution.
 //
-// The pointwise stage per Winograd-domain point i is
+// The kernel transform runs once per call into Uᵀ panels, split over
+// output channels across the thread budget. The N·tilesY·tilesX tiles
+// then form one index space cut into blocks of Tb tiles
+// (winoBlockTiles). Each worker takes whole blocks and runs a block
+// start to finish with no barrier between stages: gather → input
+// transform → tt GEMMs → output transform → scatter. The panels are
+// tile-major, one GEMM per Winograd-domain point i,
 //
-//	Y_i[M×T] = U_i[M×C] · V_i[C×T],  T = N · tilesY · tilesX,
+//	Yᵀ_i[Tb×M] = Vᵀ_i[Tb×C] · Uᵀ_i[C×M],
 //
-// so the transformed kernel panel U_i is streamed over the whole
-// minibatch's tiles at once. Transforms stay in float64 (numerical
-// headroom, as in the per-image primitive); the pointwise accumulation
-// runs in float32 like the GEMM-backed families.
+// so every tile's channel vector is contiguous for the HWC gather and
+// scatter, and the tall tile axis rides gemm.Packed as im2row's patch
+// rows do. Transforms stay in float64 (numerical headroom, as in the
+// per-image primitive), lane-vectorised over channels; the pointwise
+// accumulation runs in float32 like the GEMM-backed families. Each
+// output element depends only on its own tile and on the layer, so the
+// result is bitwise the same at every thread count.
 func wino2DBatch(m, r int, layout tensor.Layout) func(dst, in *tensor.Batch, k *Kernel, s Scenario, threads int) {
 	plan := winograd.NewPlan(m, r)
 	return func(dst, in *tensor.Batch, kern *Kernel, s Scenario, threads int) {
@@ -283,80 +293,310 @@ func wino2DBatch(m, r int, layout tensor.Layout) func(dst, in *tensor.Batch, k *
 			panic(fmt.Sprintf("wino2d F(%d,%d): unsupported scenario %s", m, r, s))
 		}
 		oh, ow := s.OutH(), s.OutW()
-		t := plan.T
-		tt := t * t
-		tilesY := (oh + m - 1) / m
 		tilesX := (ow + m - 1) / m
-		tilesPerImage := tilesY * tilesX
-		T := in.N * tilesPerImage
-		M, C := s.M, s.C
+		l := &winoLayer{
+			plan: plan, hwc: layout == tensor.HWC, in: in, out: dst,
+			C: s.C, H: s.H, W: s.W, M: s.M, pad: s.Pad, oh: oh, ow: ow,
+			tilesX: tilesX, tilesPerImage: (oh + m - 1) / m * tilesX,
+		}
+		tt := plan.T * plan.T
+		tiles := in.N * l.tilesPerImage
+		// A batch with fewer tiles than a block is one short block; the
+		// panels need only that many rows.
+		l.tb = min(winoBlockTiles(tt, s.C, s.M), tiles)
+		nblocks := (tiles + l.tb - 1) / l.tb
 
-		// Kernel transform once per batch: U[i] is an M×C row-major panel.
-		u := make([]float32, tt*M*C)
-		g := make([]float32, r*r)
-		for mm := 0; mm < M; mm++ {
-			for c := 0; c < C; c++ {
-				for kh := 0; kh < r; kh++ {
-					for kw := 0; kw < r; kw++ {
-						g[kh*r+kw] = kern.At(mm, c, kh, kw)
-					}
-				}
-				uk := plan.KernelTransform2D(g)
-				for i := 0; i < tt; i++ {
-					u[i*M*C+mm*C+c] = float32(uk[i])
-				}
+		ub := winoKernelPool.Get().(*[]float32)
+		*ub = grow(*ub, tt*s.C*s.M)
+		defer winoKernelPool.Put(ub)
+		l.ut = *ub
+		l.transformKernel(kern, threads)
+
+		workers := max(min(threads, nblocks), 1)
+		var next atomic.Int64
+		parallelFor(workers, workers, func(int) {
+			sc := l.scratch()
+			defer winoBlockPool.Put(sc)
+			for b := int(next.Add(1)) - 1; b < nblocks; b = int(next.Add(1)) - 1 {
+				l.runBlock(b*l.tb, min(l.tb, tiles-b*l.tb), sc)
+			}
+		})
+	}
+}
+
+// winoBlockBytes bounds the float32 Vᵀ+Yᵀ panels of one block.
+const winoBlockBytes = 512 << 10
+
+// winoBlockTiles returns the tiles per block of a layer: the largest
+// multiple of 16 whose Vᵀ and Yᵀ panels (tt points × (C+M) float32
+// values per tile) fit in winoBlockBytes, and never fewer than 16. It
+// reads the layer shape alone — never the thread count — so the blocks,
+// and the rows each GEMM sees, are the same however many workers run.
+func winoBlockTiles(tt, c, m int) int {
+	return max(winoBlockBytes/(tt*(c+m)*4)&^15, 16)
+}
+
+// winoLayer is one batched Winograd call's geometry and operands,
+// shared read-only by its workers.
+type winoLayer struct {
+	plan          *winograd.Plan
+	hwc           bool
+	in, out       *tensor.Batch
+	C, H, W, M    int
+	pad, oh, ow   int
+	tilesX        int
+	tilesPerImage int
+	tb            int       // tiles per block
+	ut            []float32 // Uᵀ: tt panels of C×M
+}
+
+// winoScratch is one worker's block buffers: the float32 Vᵀ and Yᵀ
+// panels of a block (tt panels of Tb×C and Tb×M) and the float64 tile
+// and transform scratch (one t×t grid of max(C,M) lanes each).
+type winoScratch struct {
+	v, y   []float32
+	x, tmp []float64
+}
+
+// The batched Winograd scratch is recycled across calls the way gemm's
+// packPool recycles B panels, so a steady-state call allocates nothing
+// per tile or per block: winoKernelPool holds Uᵀ buffers (refilled by
+// every call — transformed kernels are not cached across calls) and
+// winoBlockPool the per-worker block buffers. A pooled buffer too small
+// for the layer is replaced by a larger one.
+var (
+	winoKernelPool = sync.Pool{New: func() any { return new([]float32) }}
+	winoBlockPool  = sync.Pool{New: func() any { return new(winoScratch) }}
+)
+
+// grow returns s resliced to n, reallocated when its capacity is short.
+func grow[T float32 | float64](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// scratch takes one worker's block buffers from the pool, sized for the
+// layer.
+func (l *winoLayer) scratch() *winoScratch {
+	tt := l.plan.T * l.plan.T
+	sc := winoBlockPool.Get().(*winoScratch)
+	sc.v = grow(sc.v, tt*l.tb*l.C)
+	sc.y = grow(sc.y, tt*l.tb*l.M)
+	sc.x = grow(sc.x, l.plan.VecLen(max(l.C, l.M)))
+	sc.tmp = grow(sc.tmp, len(sc.x))
+	return sc
+}
+
+// transformKernel fills the Uᵀ panels, Uᵀ_i[c][mm] = U(mm,c)_i, with
+// the output channels split across the thread budget, at least 16 per
+// worker (fewer is less work than waking a goroutine). Each worker
+// transforms its channel range for one input channel at a time, lane-
+// vectorised over the range.
+func (l *winoLayer) transformKernel(k *Kernel, threads int) {
+	workers := max(min(threads, l.M/16), 1)
+	chunk := (l.M + workers - 1) / workers
+	r, tt, cm := l.plan.R, l.plan.T*l.plan.T, l.C*l.M
+	parallelFor(workers, workers, func(w int) {
+		lo := w * chunk
+		n := min(chunk, l.M-lo)
+		if n <= 0 {
+			return
+		}
+		sc := l.scratch()
+		defer winoBlockPool.Put(sc)
+		x, tmp := sc.x[:l.plan.VecLen(n)], sc.tmp
+		for c := 0; c < l.C; c++ {
+			winoGatherKernel(x, k.Data[(lo*l.C+c)*r*r:], n, l.C*r*r, r*r)
+			l.plan.KernelTransformVec(x, tmp, n)
+			for i := 0; i < tt; i++ {
+				winoStoreLanes(l.ut[i*cm+c*l.M+lo:][:n], x[i*n:])
 			}
 		}
+	})
+}
 
-		// Input transform: V[i] is a C×T row-major panel; tile columns
-		// are image-major so each image's tiles stay contiguous.
-		v := make([]float32, tt*C*T)
-		parallelFor(threads, in.N, func(img int) {
-			d := make([]float64, tt)
-			src := in.Image(img)
-			for c := 0; c < C; c++ {
-				for ty := 0; ty < tilesY; ty++ {
-					for tx := 0; tx < tilesX; tx++ {
-						gatherTile2D(src, c, ty*m, tx*m, t, s.Pad, d)
-						vt := plan.InputTransform2D(d)
-						col := img*tilesPerImage + ty*tilesX + tx
-						for i := 0; i < tt; i++ {
-							v[i*C*T+c*T+col] = float32(vt[i])
-						}
-					}
+// runBlock computes the rows tiles starting at global tile index t0
+// (image-major, then tile row, then tile column): gather and transform
+// each into the Vᵀ panels, multiply by Uᵀ at every Winograd-domain
+// point, then transform each Yᵀ row back and scatter it.
+func (l *winoLayer) runBlock(t0, rows int, sc *winoScratch) {
+	p := l.plan
+	m, t, tt, tb := p.M, p.T, p.T*p.T, l.tb
+	C, M := l.C, l.M
+	for row := 0; row < rows; row++ {
+		img, y0, x0 := l.tileOrigin(t0 + row)
+		x := sc.x[:tt*C]
+		src := l.in.Slab(img)
+		if l.hwc {
+			winoGatherHWC(x, src, l.H, l.W, C, t, y0-l.pad, x0-l.pad)
+		} else {
+			winoGatherCHW(x, src, l.H, l.W, C, t, y0-l.pad, x0-l.pad)
+		}
+		p.InputTransformVec(x, sc.tmp, C)
+		for i := 0; i < tt; i++ {
+			winoStoreLanes(sc.v[(i*tb+row)*C:][:C], x[i*C:])
+		}
+	}
+	for i := 0; i < tt; i++ {
+		gemm.Packed(rows, M, C, sc.v[i*tb*C:][:rows*C], l.ut[i*C*M:][:C*M], sc.y[i*tb*M:][:rows*M])
+	}
+	for row := 0; row < rows; row++ {
+		img, y0, x0 := l.tileOrigin(t0 + row)
+		x := sc.x[:tt*M]
+		for i := 0; i < tt; i++ {
+			winoLoadLanes(x[i*M:][:M], sc.y[(i*tb+row)*M:])
+		}
+		p.OutputTransformVec(x, sc.tmp, M)
+		dst := l.out.Slab(img)
+		if l.hwc {
+			winoScatterHWC(dst, x, l.oh, l.ow, M, m, y0, x0)
+		} else {
+			winoScatterCHW(dst, x, l.oh, l.ow, M, m, y0, x0)
+		}
+	}
+}
+
+// tileOrigin maps a global tile index to its image and the output
+// pixel at the tile's top-left corner.
+func (l *winoLayer) tileOrigin(g int) (img, y0, x0 int) {
+	img, g = g/l.tilesPerImage, g%l.tilesPerImage
+	return img, g / l.tilesX * l.plan.M, g % l.tilesX * l.plan.M
+}
+
+// winoGatherHWC fills x with the t×t tile of channel vectors whose
+// top-left input pixel is (y0, x0) — padding already subtracted — from
+// one HWC image, zero outside the image. Each in-range run of a tile
+// row is one contiguous conversion.
+//
+//dnn:hotpath
+func winoGatherHWC(x []float64, src []float32, h, w, c, t, y0, x0 int) {
+	b0, b1 := max(0, -x0), max(min(t, w-x0), 0)
+	for a := 0; a < t; a++ {
+		row := x[a*t*c:][:t*c]
+		ih := y0 + a
+		if ih < 0 || ih >= h || b0 >= b1 {
+			clear(row)
+			continue
+		}
+		clear(row[:b0*c])
+		clear(row[b1*c:])
+		seg := row[b0*c : b1*c]
+		in := src[(ih*w+x0+b0)*c:][:len(seg)]
+		for i, v := range in {
+			seg[i] = float64(v)
+		}
+	}
+}
+
+// winoGatherCHW is winoGatherHWC reading one CHW image: each in-range
+// tile pixel gathers its channel vector with stride H·W.
+//
+//dnn:hotpath
+func winoGatherCHW(x []float64, src []float32, h, w, c, t, y0, x0 int) {
+	hw := h * w
+	b0, b1 := max(0, -x0), max(min(t, w-x0), 0)
+	for a := 0; a < t; a++ {
+		row := x[a*t*c:][:t*c]
+		ih := y0 + a
+		if ih < 0 || ih >= h || b0 >= b1 {
+			clear(row)
+			continue
+		}
+		clear(row[:b0*c])
+		clear(row[b1*c:])
+		for b := b0; b < b1; b++ {
+			seg := row[b*c:][:c]
+			in := src[ih*w+x0+b:]
+			si := 0
+			for ch := range seg {
+				// One unsigned compare carries both bounds of the strided
+				// gather for the prover.
+				if uint(si) >= uint(len(in)) {
+					break
 				}
+				seg[ch] = float64(in[si])
+				si += hw
 			}
-		})
+		}
+	}
+}
 
-		// Pointwise stage: tt independent GEMMs (one per Winograd-domain
-		// point) — the batch's parallelism axis. T = N·tiles is the wide
-		// axis, so each point's multiply rides the packed kernel.
-		y := make([]float32, tt*M*T)
-		parallelFor(threads, tt, func(i int) {
-			gemm.Packed(M, T, C, u[i*M*C:(i+1)*M*C], v[i*C*T:(i+1)*C*T], y[i*M*T:(i+1)*M*T])
-		})
+// winoGatherKernel fills the leading r×r grid of x with n kernels'
+// taps, lane l taking the kernel that starts at k[l*stride].
+//
+//dnn:hotpath
+func winoGatherKernel(x []float64, k []float32, n, stride, rr int) {
+	for tap := 0; tap < rr; tap++ {
+		lanes := x[tap*n:][:n]
+		in := k[tap:]
+		si := 0
+		for l := range lanes {
+			if uint(si) >= uint(len(in)) {
+				break
+			}
+			lanes[l] = float64(in[si])
+			si += stride
+		}
+	}
+}
 
-		// Output transform and scatter into per-image tiles.
-		parallelFor(threads, in.N, func(img int) {
-			sum := make([]float64, tt)
-			out := dst.Image(img)
-			for mm := 0; mm < M; mm++ {
-				for ty := 0; ty < tilesY; ty++ {
-					for tx := 0; tx < tilesX; tx++ {
-						col := img*tilesPerImage + ty*tilesX + tx
-						for i := 0; i < tt; i++ {
-							sum[i] = float64(y[i*M*T+mm*T+col])
-						}
-						yv := plan.OutputTransform2D(sum)
-						y0, x0 := ty*m, tx*m
-						for i := 0; i < m && y0+i < oh; i++ {
-							for j := 0; j < m && x0+j < ow; j++ {
-								out.Set(mm, y0+i, x0+j, float32(yv[i*m+j]))
-							}
-						}
-					}
+// winoStoreLanes narrows one point's lanes into a float32 panel row.
+//
+//dnn:hotpath
+func winoStoreLanes(dst []float32, src []float64) {
+	src = src[:len(dst)]
+	for i, v := range src {
+		dst[i] = float32(v)
+	}
+}
+
+// winoLoadLanes widens one float32 panel row into a point's lanes.
+//
+//dnn:hotpath
+func winoLoadLanes(dst []float64, src []float32) {
+	src = src[:len(dst)]
+	for i, v := range src {
+		dst[i] = float64(v)
+	}
+}
+
+// winoScatterHWC writes the m×m grid of output channel vectors in y to
+// one HWC output image at output pixel (y0, x0), clipped to the image:
+// each tile row is one contiguous conversion.
+//
+//dnn:hotpath
+func winoScatterHWC(dst []float32, y []float64, oh, ow, c, m, y0, x0 int) {
+	nj := min(m, ow-x0)
+	for i := 0; i < m && y0+i < oh; i++ {
+		out := dst[((y0+i)*ow+x0)*c:][:nj*c]
+		in := y[i*m*c:][:len(out)]
+		for k, v := range in {
+			out[k] = float32(v)
+		}
+	}
+}
+
+// winoScatterCHW is winoScatterHWC writing one CHW image: each output
+// pixel scatters its channel vector with stride Ho·Wo.
+//
+//dnn:hotpath
+func winoScatterCHW(dst []float32, y []float64, oh, ow, c, m, y0, x0 int) {
+	ohw := oh * ow
+	nj := min(m, ow-x0)
+	for i := 0; i < m && y0+i < oh; i++ {
+		for j := 0; j < nj; j++ {
+			in := y[(i*m+j)*c:][:c]
+			out := dst[(y0+i)*ow+x0+j:]
+			oi := 0
+			for _, v := range in {
+				if uint(oi) >= uint(len(out)) {
+					break
 				}
+				out[oi] = float32(v)
+				oi += ohw
 			}
-		})
+		}
 	}
 }

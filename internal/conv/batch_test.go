@@ -1,6 +1,7 @@
 package conv
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -28,19 +29,32 @@ func batchScenarios() []Scenario {
 	}
 }
 
+// winoBlockScenarios are wide enough that every wino2d tile size cuts a
+// three-image batch's tiles into several blocks.
+var winoBlockScenarios = []Scenario{
+	{C: 24, H: 20, W: 20, Stride: 1, K: 3, M: 36, Pad: 1},
+	{C: 24, H: 20, W: 19, Stride: 1, K: 5, M: 40, Pad: 2},
+}
+
 // TestBatchedEntriesMatchPerImageRun: every primitive carrying a
 // batched implementation must compute, image for image, what its
 // per-image Run computes. The batched restructure may reorder float
 // work and run its pointwise stages in float32 (the wino2d GEMM), so
 // the acceptance bar is the library-wide 1e-4 relative tolerance the
-// engine equivalence harness uses.
+// engine equivalence harness uses. wino2d is held to more: its tiles'
+// arithmetic depends on the layer alone, never on the thread count, so
+// its output must be bitwise the same at every thread count.
 func TestBatchedEntriesMatchPerImageRun(t *testing.T) {
 	const n = 3
 	for _, p := range Library() {
 		if p.RunBatch == nil {
 			continue
 		}
-		for _, s := range batchScenarios() {
+		scenarios := batchScenarios()
+		if p.Family == FamilyWinograd {
+			scenarios = append(scenarios, winoBlockScenarios...)
+		}
+		for _, s := range scenarios {
 			if !p.Supports(s) {
 				continue
 			}
@@ -48,18 +62,42 @@ func TestBatchedEntriesMatchPerImageRun(t *testing.T) {
 			k := NewKernel(s.M, s.C, s.K)
 			k.FillRandom(3)
 			dst := tensor.NewBatch(p.Out, n, s.M, s.OutH(), s.OutW())
-			for _, threads := range []int{1, 3} {
+			wants := make([]*tensor.Tensor, n)
+			for i := range wants {
+				wants[i] = p.Run(in.Image(i), k, s, 1)
+			}
+			var first []float32
+			for _, threads := range []int{1, 2, 3} {
 				RunBatchInto(p, dst, in, k, s, threads)
-				for i := 0; i < n; i++ {
-					want := p.Run(in.Image(i), k, s, 1)
+				for i, want := range wants {
 					if !tensor.WithinRel(dst.Image(i), want, 1e-4) {
 						t.Errorf("%s %s threads=%d image %d: batched diverges by %g",
 							p.Name, s, threads, i, tensor.MaxRelDiff(dst.Image(i), want))
 					}
 				}
+				if p.Family != FamilyWinograd {
+					continue
+				}
+				if first == nil {
+					first = append([]float32(nil), dst.Data...)
+				} else if i := firstBitDiff(dst.Data, first); i >= 0 {
+					t.Errorf("%s %s: threads=%d differs from threads=1 at element %d (%v vs %v)",
+						p.Name, s, threads, i, dst.Data[i], first[i])
+				}
 			}
 		}
 	}
+}
+
+// firstBitDiff returns the first index where a and b differ bitwise,
+// or -1.
+func firstBitDiff(a, b []float32) int {
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+			return i
+		}
+	}
+	return -1
 }
 
 // TestRunBatchIntoFallback: a primitive with no batched entry runs per

@@ -1,6 +1,7 @@
 package conv
 
 import (
+	"runtime"
 	"testing"
 
 	"pbqpdnn/internal/tensor"
@@ -59,6 +60,39 @@ func TestWinoNonDivisibleTiles(t *testing.T) {
 			out := p.Run(tensor.Convert(in, p.In), k, s, 2)
 			if d := tensor.MaxAbsDiff(out, want); d > tolFor(s) {
 				t.Errorf("%s on %s: diff %g", p.Name, s, d)
+			}
+		}
+	}
+}
+
+// TestWinoBatchAllocsConstant pins the batched Winograd entry's
+// allocations at ResNet-18's res2 shape: a warm call takes its Uᵀ and
+// block buffers from pools and allocates only its fork-join bookkeeping
+// — a small constant, the same at one image as at eight, never a count
+// that grows with tiles or blocks.
+func TestWinoBatchAllocsConstant(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocs/op is nondeterministic under the race detector: sync.Pool drops a random 1-in-4 of Puts when race is enabled")
+	}
+	// One thread allocates 4 objects per call, two threads 14; the slack
+	// absorbs a pooled buffer dropped by a collection mid-measurement.
+	// Any per-block allocation would show as hundreds.
+	const bound = 24
+	s := Scenario{C: 64, H: 56, W: 56, Stride: 1, K: 3, M: 64, Pad: 1}
+	k := NewKernel(s.M, s.C, s.K)
+	k.FillRandom(1)
+	for _, name := range []string{"wino2d-m4-k3-vf8-HWC", "wino2d-m2-k3-vf8"} {
+		p, err := ByName(Library(), name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int{1, 8} {
+			in := makeInputBatch(p.In, n, s)
+			dst := tensor.NewBatch(p.Out, n, s.M, s.OutH(), s.OutW())
+			runtime.GC() // settle the set-up's garbage before measuring
+			allocs := testing.AllocsPerRun(3, func() { RunBatchInto(p, dst, in, k, s, 2) })
+			if allocs > bound {
+				t.Errorf("%s N=%d: %v allocs per call, want ≤ %d", name, n, allocs, bound)
 			}
 		}
 	}

@@ -20,7 +20,7 @@ package exec
 // budget — independent inception branches and residual shortcuts still
 // run concurrently — and a batched instruction left alone on the pool
 // inherits the whole thread budget, splitting its images, GEMM rows or
-// Winograd points across the idle workers so chain networks cannot
+// Winograd tile blocks across the idle workers so chain networks cannot
 // strand the budget. The per-image path is retained as the batch-1
 // special case: a maxBatch-1 engine binds the original per-image
 // primitives (convolution outputs primitive-allocated, exactly the old
@@ -694,7 +694,7 @@ func (e *Engine) runTask(st *batchState, t int) {
 // normally 1 (the pool itself is the parallelism, across DAG
 // branches), but a task running alone with an empty queue inherits the
 // whole budget — its batched kernel then splits images, GEMM rows or
-// Winograd points across the pool, so chain segments of the DAG do not
+// Winograd tile blocks across the pool, so chain segments of the DAG do not
 // serialize the minibatch onto a single worker.
 //
 //dnn:hotpath

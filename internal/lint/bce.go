@@ -31,8 +31,11 @@ import (
 var BCERegistry = map[string][]string{
 	"pbqpdnn/internal/gemm": {"IKJ", "Blocked", "packedRowK4", "packedRowPart", "packB", "packBT", "applyEpiRow"},
 	"pbqpdnn/internal/conv": {"im2colPatchesIntoCols", "im2rowPatchesInto", "winoAccumRow",
-		"epiWritebackRow", "im2rowPatchesFromCHWInto", "im2colPatchesFromHWCIntoCols"},
-	"pbqpdnn/internal/program": {"ReLUInto", "AddInto", "fcApply"},
+		"epiWritebackRow", "im2rowPatchesFromCHWInto", "im2colPatchesFromHWCIntoCols",
+		"winoGatherHWC", "winoGatherCHW", "winoGatherKernel", "winoStoreLanes", "winoLoadLanes",
+		"winoScatterHWC", "winoScatterCHW"},
+	"pbqpdnn/internal/program":  {"ReLUInto", "AddInto", "fcApply"},
+	"pbqpdnn/internal/winograd": {"addLanes", "addLanes2", "addLanes4"},
 }
 
 // BCECheck is one compiler-reported bounds check, classified against

@@ -28,6 +28,18 @@ type Plan struct {
 	AT []float64 // m×t output (inverse) transform
 	G  []float64 // t×r kernel transform
 	BT []float64 // t×t input transform
+
+	// atRows, gRows and btRows hold the same three matrices row by row
+	// as their nonzero terms in increasing column order — the form the
+	// lane-vectorised transforms iterate.
+	atRows, gRows, btRows [][]term
+}
+
+// term is one nonzero coefficient of a transform-matrix row: coef
+// multiplies column k.
+type term struct {
+	k    int
+	coef float64
 }
 
 // defaultPoints are the interpolation points used in order; small
@@ -70,7 +82,34 @@ func NewPlan(m, r int) *Plan {
 			p.BT[j*t+i] = vtInv[i*t+j]
 		}
 	}
+	p.atRows = sparseRows(p.AT, m, t)
+	p.gRows = sparseRows(p.G, t, r)
+	p.btRows = sparseRows(p.BT, t, t)
 	return p
+}
+
+// sparseRows lists the nonzero terms of each row of a rows×cols
+// row-major matrix, in increasing column order. The rows share one
+// backing array: every primitive library build makes dozens of plans.
+func sparseRows(a []float64, rows, cols int) [][]term {
+	nz := 0
+	for _, v := range a {
+		if v != 0 {
+			nz++
+		}
+	}
+	terms := make([]term, 0, nz)
+	out := make([][]term, rows)
+	for i := range out {
+		start := len(terms)
+		for k, v := range a[i*cols : (i+1)*cols] {
+			if v != 0 {
+				terms = append(terms, term{k: k, coef: v})
+			}
+		}
+		out[i] = terms[start:len(terms):len(terms)]
+	}
+	return out
 }
 
 // vandermonde builds the rows×cols evaluation matrix over pts plus the
@@ -244,6 +283,116 @@ func (p *Plan) sandwich(m []float64, rows, cols int, x []float64) []float64 {
 		}
 	}
 	return out
+}
+
+// The lane-vectorised 2D transforms below compute what the 2D
+// transforms above compute, for n independent tiles at once (n input
+// channels of one tile, say): the tile is a grid of n-vectors, point
+// (i,j) holding lanes x[(i*cols+j)*n : (i*cols+j+1)*n]. Each applies
+// the sandwich separably — a pass of the matrix down the columns into
+// tmp, then one across the rows back into x — skipping zero
+// coefficients. Every lane is computed with sandwich's own arithmetic:
+// the products of each sum are added to zero in increasing k. A skipped
+// term adds 0·x = ±0, which for finite x leaves the sum unchanged (a
+// sum that starts at +0 can never become −0 under round-to-nearest),
+// so on finite tiles every lane equals the sandwich result bitwise.
+// The transforms allocate nothing: the caller owns x and tmp.
+
+// VecLen returns the length x and tmp must have for the lane-vectorised
+// transforms over n lanes: one t×t grid of n-vectors.
+func (p *Plan) VecLen(n int) int { return p.T * p.T * n }
+
+// KernelTransformVec overwrites x, whose leading r×r grid holds n
+// kernels, with their t×t transforms U = G·g·Gᵀ.
+func (p *Plan) KernelTransformVec(x, tmp []float64, n int) {
+	p.sandwichVec(p.gRows, p.R, x, tmp, n)
+}
+
+// InputTransformVec overwrites x, a t×t grid holding n input tiles,
+// with their transforms V = Bᵀ·d·B.
+func (p *Plan) InputTransformVec(x, tmp []float64, n int) {
+	p.sandwichVec(p.btRows, p.T, x, tmp, n)
+}
+
+// OutputTransformVec overwrites the leading m×m grid of x, a t×t grid
+// holding n elementwise products, with their outputs Y = Aᵀ·s·A.
+func (p *Plan) OutputTransformVec(x, tmp []float64, n int) {
+	p.sandwichVec(p.atRows, p.T, x, tmp, n)
+}
+
+// sandwichVec computes M·x·Mᵀ lane by lane for the rows×cols matrix M
+// given by its sparse rows: tmp = M·x (rows×cols points), then
+// x = tmp·Mᵀ (rows×rows points).
+func (p *Plan) sandwichVec(m [][]term, cols int, x, tmp []float64, n int) {
+	if len(x) < p.VecLen(n) || len(tmp) < p.VecLen(n) {
+		panic(fmt.Sprintf("winograd: vector transform over %d lanes needs %d values, got x=%d tmp=%d",
+			n, p.VecLen(n), len(x), len(tmp)))
+	}
+	for i, row := range m {
+		for j := 0; j < cols; j++ {
+			sumTerms(tmp[(i*cols+j)*n:][:n], x, j, cols, n, row)
+		}
+	}
+	rows := len(m)
+	for i := 0; i < rows; i++ {
+		for j, row := range m {
+			sumTerms(x[(i*rows+j)*n:][:n], tmp, i*cols, 1, n, row)
+		}
+	}
+}
+
+// sumTerms sets dst to Σ coef·src[point base+k·step] over the terms of
+// row, lane by lane, adding the products to zero in increasing k. Up to
+// four terms share one pass over the lanes; grouping the additions that
+// way leaves their order, and so every rounding, unchanged.
+func sumTerms(dst, src []float64, base, step, n int, row []term) {
+	at := func(tm term) []float64 { return src[(base+tm.k*step)*n:] }
+	clear(dst)
+	for ; len(row) >= 4; row = row[4:] {
+		addLanes4(dst, at(row[0]), at(row[1]), at(row[2]), at(row[3]),
+			row[0].coef, row[1].coef, row[2].coef, row[3].coef)
+	}
+	if len(row) >= 2 {
+		addLanes2(dst, at(row[0]), at(row[1]), row[0].coef, row[1].coef)
+		row = row[2:]
+	}
+	if len(row) == 1 {
+		addLanes(dst, at(row[0]), row[0].coef)
+	}
+}
+
+// addLanes adds one term of a sandwich sum, dst += c·s, lane by lane.
+//
+//dnn:hotpath
+func addLanes(dst, s []float64, c float64) {
+	s = s[:len(dst)]
+	for l, v := range s {
+		dst[l] += c * v
+	}
+}
+
+// addLanes2 adds two consecutive terms, dst = dst + c0·s0 + c1·s1.
+//
+//dnn:hotpath
+func addLanes2(dst, s0, s1 []float64, c0, c1 float64) {
+	s0 = s0[:len(dst)]
+	s1 = s1[:len(dst)]
+	for l, v := range s0 {
+		dst[l] = dst[l] + c0*v + c1*s1[l]
+	}
+}
+
+// addLanes4 adds four consecutive terms in order.
+//
+//dnn:hotpath
+func addLanes4(dst, s0, s1, s2, s3 []float64, c0, c1, c2, c3 float64) {
+	s0 = s0[:len(dst)]
+	s1 = s1[:len(dst)]
+	s2 = s2[:len(dst)]
+	s3 = s3[:len(dst)]
+	for l, v := range s0 {
+		dst[l] = dst[l] + c0*v + c1*s1[l] + c2*s2[l] + c3*s3[l]
+	}
 }
 
 // Flops1D returns the number of multiplications a direct 1D tile would

@@ -157,6 +157,70 @@ func TestLinearity(t *testing.T) {
 	}
 }
 
+// TestVecTransformsMatchSandwich: for every F(m,r) the primitive
+// library builds, the sparse, separable, lane-vectorised transforms
+// equal the dense sandwich bitwise, lane by lane, on random finite tiles
+// — including exact zeros of both signs, where a skipped zero
+// coefficient or a sum started without its +0 would flip a sign bit.
+func TestVecTransformsMatchSandwich(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	value := func() float64 {
+		switch rng.Intn(8) {
+		case 0:
+			return 0
+		case 1:
+			return math.Copysign(0, -1)
+		}
+		return (rng.Float64()*2 - 1) * math.Pow(2, float64(rng.Intn(40)-20))
+	}
+	for _, mr := range [][2]int{{2, 3}, {4, 3}, {6, 3}, {2, 5}, {3, 5}} {
+		p := NewPlan(mr[0], mr[1])
+		tt, rr, mm := p.T*p.T, p.R*p.R, p.M*p.M
+		for _, n := range []int{1, 3, 16} {
+			for trial := 0; trial < 20; trial++ {
+				tiles := make([][]float64, n)   // t×t input tiles
+				kernels := make([][]float32, n) // r×r kernels
+				x, k, tmp := make([]float64, p.VecLen(n)), make([]float64, p.VecLen(n)), make([]float64, p.VecLen(n))
+				for l := 0; l < n; l++ {
+					tiles[l] = make([]float64, tt)
+					for i := range tiles[l] {
+						tiles[l][i] = value()
+						x[i*n+l] = tiles[l][i]
+					}
+					if trial == 0 {
+						clear(tiles[l]) // an all-zero tile, as deep in the padding
+						for i := 0; i < tt; i++ {
+							x[i*n+l] = 0
+						}
+					}
+					kernels[l] = make([]float32, rr)
+					for i := range kernels[l] {
+						kernels[l][i] = float32(value())
+						k[i*n+l] = float64(kernels[l][i])
+					}
+				}
+				y := append([]float64(nil), x...)
+				p.InputTransformVec(x, tmp, n)
+				p.OutputTransformVec(y, tmp, n)
+				p.KernelTransformVec(k, tmp, n)
+				for l := 0; l < n; l++ {
+					check := func(what string, got []float64, want []float64) {
+						for i, w := range want {
+							if g := got[i*n+l]; math.Float64bits(g) != math.Float64bits(w) {
+								t.Fatalf("F(%d,%d) n=%d trial %d lane %d: %s[%d] = %v, sandwich %v",
+									mr[0], mr[1], n, trial, l, what, i, g, w)
+							}
+						}
+					}
+					check("input", x, p.InputTransform2D(tiles[l]))
+					check("output", y[:mm*n], p.OutputTransform2D(tiles[l]))
+					check("kernel", k, p.KernelTransform2D(kernels[l]))
+				}
+			}
+		}
+	}
+}
+
 func TestNewPlanPanics(t *testing.T) {
 	for _, bad := range [][2]int{{0, 3}, {2, 0}, {9, 9}} {
 		func() {
