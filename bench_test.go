@@ -333,7 +333,7 @@ func BenchmarkRealExecution(b *testing.B) {
 
 // benchEngineBatch compares per-image sequential execution (exec.Run
 // in a loop) against the batched, branch-parallel engine
-// (exec.RunBatch) on the same legalized plan: the engine's
+// (Engine.RunBatch) on the same legalized plan: the engine's
 // dependency-counting scheduler, buffer arena and layout fast paths
 // versus the oracle executor's fresh-allocation walk.
 func benchEngineBatch(b *testing.B, g *dnn.Graph, batch, threads int) {
@@ -411,105 +411,6 @@ func BenchmarkEngineBatch8ResNet18(b *testing.B) {
 	benchEngineBatch(b, g, 8, 4)
 }
 
-// benchCompiledBatch measures the two compiled execution paths against
-// each other on the same legalized plan and minibatch — construction
-// (plan → Program IR with static memory plan) outside the loop,
-// RunBatch inside:
-//
-//   - per-image-compiled: the batch-1 program looped over the images
-//     (convolution outputs primitive-allocated, kernels per image);
-//   - batched-compiled: the batch-N program executing the whole
-//     minibatch per instruction (batched kernels, N-scaled slot frame).
-//
-// The batched series carries the compiled program's size metrics. CI
-// runs both at -benchtime 1x so the batched-vs-per-image trajectory is
-// visible per commit.
-func benchCompiledBatch(b *testing.B, g *dnn.Graph, batch, threads int) {
-	w := exec.NewWeights(g)
-	plan, err := selector.Select(g, selector.Options{Prof: cost.NewModel(cost.IntelHaswell), Threads: threads})
-	if err != nil {
-		b.Fatal(err)
-	}
-	l := g.Layers[0]
-	inputs := make([]*tensor.Tensor, batch)
-	for i := range inputs {
-		inputs[i] = tensor.New(tensor.CHW, l.OutC, l.OutH, l.OutW)
-		inputs[i].FillRandom(int64(i + 1))
-	}
-	b.Run("per-image-compiled", func(b *testing.B) {
-		eng, err := exec.NewEngine(plan, w)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := eng.RunBatch(inputs[:1]); err != nil { // warm the arena
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.RunBatch(inputs); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("batched-compiled", func(b *testing.B) {
-		eng, err := exec.NewEngineBatch(plan, w, batch)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := eng.RunBatch(inputs); err != nil { // warm the arena
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.RunBatch(inputs); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		s := eng.Program().Stats
-		b.ReportMetric(float64(s.Instructions), "instrs")
-		b.ReportMetric(float64(s.Slots), "slots")
-		b.ReportMetric(float64(s.InPlace), "in-place")
-		b.ReportMetric(float64(s.PeakBytes)/(1<<20), "peak-MB")
-	})
-}
-
-// BenchmarkCompiledBatch8SmallNet is the quick-iteration compiled
-// executor benchmark on a small convolutional chain.
-func BenchmarkCompiledBatch8SmallNet(b *testing.B) {
-	bld, x := dnn.NewBuilder("bench-net", 8, 32, 32)
-	x = bld.Conv(x, "c1", 16, 3, 1, 1)
-	x = bld.ReLU(x, "r1")
-	x = bld.Conv(x, "c2", 16, 3, 1, 1)
-	x = bld.MaxPool(x, "p1", 2, 2, 0)
-	x = bld.Conv(x, "c3", 24, 5, 1, 2)
-	bld.Softmax(x, "sm")
-	benchCompiledBatch(b, bld.Graph(), 8, 4)
-}
-
-// BenchmarkCompiledBatch8GoogLeNet is the headline compiled-program
-// benchmark: a batch of 8 full-size GoogLeNet inferences on the
-// IR-executing engine with 4 workers.
-func BenchmarkCompiledBatch8GoogLeNet(b *testing.B) {
-	g, err := models.Build("googlenet")
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchCompiledBatch(b, g, 8, 4)
-}
-
-// BenchmarkCompiledBatch8ResNet18 exercises the residual-add DAG (and
-// its in-place add instructions) on the compiled engine.
-func BenchmarkCompiledBatch8ResNet18(b *testing.B) {
-	g, err := models.Build("resnet-18")
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchCompiledBatch(b, g, 8, 4)
-}
-
 // BenchmarkCompile times plan→Program lowering itself (instruction
 // emission, ancestry closure, liveness and slot assignment) on the
 // largest DAG.
@@ -524,7 +425,7 @@ func BenchmarkCompile(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := program.Compile(plan); err != nil {
+		if _, err := program.CompileBatch(plan, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -47,13 +47,13 @@ func main() {
 	log.SetPrefix("dnnbench: ")
 	exp := flag.String("exp", "all",
 		"experiment: table1, table2, table3, fig2, fig4, fig5, fig6, fig7a, fig7b, solver, sparsity, minibatch, trends, all; "+
-			"plus batchsweep, plansweep, fusesweep, gemmsweep and layerprof (excluded from 'all': they execute real workloads, minutes on the full models)")
-	threads := flag.Int("threads", 4, "execution thread budget for the minibatch/batchsweep engines")
-	batch := flag.String("batch", "1,2,4,8,16", "comma-separated minibatch sizes for the minibatch/batchsweep experiments")
-	jsonOut := flag.Bool("json", false, "emit machine-readable JSON records (supported by -exp minibatch, batchsweep, plansweep, fusesweep and gemmsweep)")
+			"plus plansweep, fusesweep, gemmsweep and layerprof (excluded from 'all': they execute real workloads, minutes on the full models)")
+	threads := flag.Int("threads", 4, "execution thread budget for the experiment engines")
+	batch := flag.String("batch", "1,2,4,8,16", "comma-separated minibatch sizes for the minibatch and sweep experiments")
+	jsonOut := flag.Bool("json", false, "emit machine-readable JSON records (supported by -exp minibatch, plansweep, fusesweep, gemmsweep and layerprof)")
 	sizes := flag.String("sizes", "256,512", "comma-separated square GEMM sizes for -exp gemmsweep")
 	dump := flag.Bool("dump-program", false, "compile -net under -strategy and print the Program IR (instructions + memory plan), then exit")
-	netName := flag.String("net", "googlenet", "network for -dump-program and -exp batchsweep/plansweep/fusesweep (alexnet, vgg-b/c/d/e, googlenet, resnet-18, smallnet, micronet)")
+	netName := flag.String("net", "googlenet", "network for -dump-program and -exp plansweep/fusesweep/layerprof (alexnet, vgg-b/c/d/e, googlenet, resnet-18, smallnet, micronet)")
 	model := flag.Bool("model", false, "plansweep: select against the analytic Intel model instead of calibrating measured costs on this host")
 	reps := flag.Int("reps", 1, "plansweep: calibration measurement repetitions (best-of); layerprof: profiled engine runs per batch size")
 	topK := flag.Int("calibrate-top", 4, "plansweep: measure only the analytic model's k cheapest candidates per layer per batch (0 = all)")
@@ -71,7 +71,7 @@ func main() {
 		return
 	}
 
-	if *exp == "batchsweep" || *exp == "plansweep" || *exp == "fusesweep" || *exp == "layerprof" {
+	if *exp == "plansweep" || *exp == "fusesweep" || *exp == "layerprof" {
 		if err := validateNet(*netName); err != nil {
 			log.Fatal(err)
 		}
@@ -154,17 +154,6 @@ func main() {
 			fmt.Print(experiments.FormatMinibatchSweep(pts))
 			return nil
 		},
-		"batchsweep": func() error {
-			pts, err := experiments.BatchSweep(*netName, *threads, batches)
-			if err != nil {
-				return err
-			}
-			if *jsonOut {
-				return writeBatchSweepJSON(pts)
-			}
-			fmt.Print(experiments.FormatBatchSweep(pts))
-			return nil
-		},
 		"plansweep": func() error {
 			o := experiments.PlanSweepOptions{Reps: *reps, TopK: *topK}
 			if *model {
@@ -235,8 +224,8 @@ func main() {
 	order := []string{"table1", "fig2", "fig4", "fig5", "fig6", "fig7a", "fig7b",
 		"table2", "table3", "solver", "sparsity", "minibatch", "trends"}
 
-	if *jsonOut && *exp != "minibatch" && *exp != "batchsweep" && *exp != "plansweep" && *exp != "fusesweep" && *exp != "gemmsweep" && *exp != "layerprof" {
-		log.Fatalf("-json is supported for -exp minibatch, batchsweep, plansweep, fusesweep, gemmsweep and layerprof (got -exp %s)", *exp)
+	if *jsonOut && *exp != "minibatch" && *exp != "plansweep" && *exp != "fusesweep" && *exp != "gemmsweep" && *exp != "layerprof" {
+		log.Fatalf("-json is supported for -exp minibatch, plansweep, fusesweep, gemmsweep and layerprof (got -exp %s)", *exp)
 	}
 	if *exp == "all" {
 		for _, name := range order {
@@ -249,7 +238,7 @@ func main() {
 	}
 	run, ok := runners[*exp]
 	if !ok {
-		log.Fatalf("unknown experiment %q (have %v, all, batchsweep, plansweep, fusesweep, gemmsweep, layerprof)", *exp, order)
+		log.Fatalf("unknown experiment %q (have %v, all, plansweep, fusesweep, gemmsweep, layerprof)", *exp, order)
 	}
 	if err := run(); err != nil {
 		log.Fatal(err)
@@ -284,43 +273,6 @@ func writeBenchJSON(pts []experiments.MinibatchPoint, threads int) error {
 			TotalNs:    p.WallTotalMS * 1e6,
 			ModelMSOp:  p.PerImageMS,
 			ModelMSTot: p.TotalMS,
-		}
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(recs)
-}
-
-// batchSweepRecord is one machine-readable batched-vs-per-image
-// measurement: the schema CI archives per commit so the batching
-// speedup is diffable across the project's history.
-type batchSweepRecord struct {
-	Benchmark       string  `json:"benchmark"`
-	Net             string  `json:"net"`
-	Batch           int     `json:"batch"`
-	Threads         int     `json:"threads"`
-	NsPerOp         float64 `json:"ns_per_op"`           // batched engine, wall ns per image
-	PerImageNsPerOp float64 `json:"per_image_ns_per_op"` // batch-1 engine looped, wall ns per image
-	BatchedSpeedupX float64 `json:"batched_speedup_x"`
-	BatchedTotalNs  float64 `json:"batched_total_ns"`
-	PerImageTotalNs float64 `json:"per_image_total_ns"`
-}
-
-// writeBatchSweepJSON emits the batched-vs-per-image sweep as one JSON
-// array of records.
-func writeBatchSweepJSON(pts []experiments.BatchSweepPoint) error {
-	recs := make([]batchSweepRecord, len(pts))
-	for i, p := range pts {
-		recs[i] = batchSweepRecord{
-			Benchmark:       "batchsweep",
-			Net:             p.Net,
-			Batch:           p.Batch,
-			Threads:         p.Threads,
-			NsPerOp:         p.BatchedNsPerImage,
-			PerImageNsPerOp: p.PerImageNsPerImage,
-			BatchedSpeedupX: p.SpeedupX,
-			BatchedTotalNs:  p.BatchedNsPerImage * float64(p.Batch),
-			PerImageTotalNs: p.PerImageNsPerImage * float64(p.Batch),
 		}
 	}
 	enc := json.NewEncoder(os.Stdout)
@@ -501,7 +453,7 @@ func dumpProgram(netName, strategy string, threads int) error {
 	if err != nil {
 		return err
 	}
-	prog, err := program.Compile(plan)
+	prog, err := program.CompileBatch(plan, 1)
 	if err != nil {
 		return err
 	}

@@ -106,8 +106,7 @@ func RunBatchFusedInto(p *Primitive, dst, in *tensor.Batch, k *Kernel, s Scenari
 
 // ApplyEpilogueBatch applies the epilogue to a full output batch as a
 // standalone post-pass — the fallback for primitives without a native
-// fused kernel, and the batch-1 path (where conv outputs are dynamic
-// allocations, the epilogue runs in place on the fresh tensor).
+// fused kernel.
 func ApplyEpilogueBatch(dst *tensor.Batch, epi gemm.Epilogue, res *tensor.Batch, threads int) {
 	if epi == gemm.EpiNone {
 		return

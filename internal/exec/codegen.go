@@ -14,7 +14,7 @@ import (
 // layout conversion, and the static memory plan (slot assignments,
 // in-place execution, peak resident footprint).
 func GenerateProgram(plan *selector.Plan) (string, error) {
-	prog, err := program.Compile(plan)
+	prog, err := program.CompileBatch(plan, 1)
 	if err != nil {
 		return "", err
 	}

@@ -21,11 +21,9 @@ package exec
 // run concurrently — and a batched instruction left alone on the pool
 // inherits the whole thread budget, splitting its images, GEMM rows or
 // Winograd tile blocks across the idle workers so chain networks cannot
-// strand the budget. The per-image path is retained as the batch-1
-// special case: a maxBatch-1 engine binds the original per-image
-// primitives (convolution outputs primitive-allocated, exactly the old
-// execution), which keeps it both the serving fallback for singleton
-// flushes and the comparison baseline for the batched path.
+// strand the budget. Batch 1 is no special case: a maxBatch-1 engine
+// binds the same batched kernels over a one-image frame, with
+// convolution outputs in planned slots like every other value.
 
 import (
 	"context"
@@ -70,10 +68,9 @@ type Engine struct {
 	workers  int
 	maxBatch int
 
-	// kerns holds one bound kernel per instruction: the batched (or,
-	// at maxBatch 1, per-image) primitive call, batched layer operator,
-	// or fused conversion, with weights and destination policy resolved
-	// at construction.
+	// kerns holds one bound kernel per instruction: the batched
+	// primitive call, batched layer operator, or fused conversion, with
+	// weights and destination policy resolved at construction.
 	kerns []kernelFn
 
 	arena *arena
@@ -90,60 +87,31 @@ type Engine struct {
 // RunBatch chunk and returns the produced batched value.
 type kernelFn func(st *batchState, threads int) (*tensor.Batch, error)
 
-// NewEngine compiles the plan into the batch-1 Program IR — the
-// per-image execution path. It is NewEngineBatch at maxBatch 1.
-func NewEngine(plan *selector.Plan, w *Weights) (*Engine, error) {
-	return NewEngineBatch(plan, w, 1)
-}
-
 // NewEngineBatch compiles the plan into the Program IR for minibatches
 // of up to maxBatch images and binds every instruction's kernel. The
-// memory plan — slot capacities, in-place marks, conv-output slotting —
-// is sized by maxBatch; RunBatch calls with fewer images execute
-// against the same frame (using a prefix of each slot), and calls with
-// more images are split into maxBatch-sized chunks. Serving processes
-// that see several batch sizes should hold one engine per batch-size
-// bucket (serve.Registry does) so every dispatch lands on a
-// pre-planned program.
+// memory plan — slot capacities, in-place marks — is sized by
+// maxBatch; RunBatch calls with fewer images execute against the same
+// frame (using a prefix of each slot), and calls with more images are
+// split into maxBatch-sized chunks. Serving processes that see several
+// batch sizes should hold one engine per batch-size bucket
+// (serve.Registry does) so every dispatch lands on a pre-planned
+// program.
 func NewEngineBatch(plan *selector.Plan, w *Weights, maxBatch int) (*Engine, error) {
-	if maxBatch < 1 {
-		return nil, fmt.Errorf("exec: invalid max batch %d", maxBatch)
-	}
 	prog, err := program.CompileBatch(plan, maxBatch)
 	if err != nil {
 		return nil, fmt.Errorf("exec: %w", err)
 	}
-	// The plan's Threads value is a budget, not a mandate: running more
-	// CPU-bound tasks than the runtime has processors only interleaves
-	// half-finished convolutions on the same core and thrashes its
-	// caches, so the pool is capped at GOMAXPROCS.
-	workers := plan.Threads
-	if workers < 1 {
-		workers = 1
-	}
-	if procs := runtime.GOMAXPROCS(0); workers > procs {
-		workers = procs
-	}
-	e := &Engine{
-		prog:     prog,
-		w:        w,
-		workers:  workers,
-		maxBatch: maxBatch,
-		arena:    newArena(),
-	}
-	if err := e.bindKernels(); err != nil {
-		return nil, err
-	}
-	return e, nil
+	return NewEngineFromProgram(prog, w)
 }
 
 // NewEngineFromProgram binds kernels over an already-compiled program,
-// skipping compilation. It exists for the translation validator's fuzz
-// and mutation harnesses, which need to execute instruction streams
-// that never came out of CompileBatch. The program must be structurally
-// sound (Validate-level) or construction and execution may panic; the
-// worker budget comes from the program's plan, capped at GOMAXPROCS
-// like NewEngineBatch.
+// sized by the program's Batch. Callers that time or verify
+// compilation separately (the benchmark harness) and the translation
+// validator's fuzz and mutation harnesses, which execute instruction
+// streams that never came out of CompileBatch, build engines here;
+// NewEngineBatch is CompileBatch followed by this. The program must be
+// structurally sound (Validate-level) or construction and execution
+// may panic.
 func NewEngineFromProgram(prog *program.Program, w *Weights) (*Engine, error) {
 	if prog == nil || prog.Plan == nil {
 		return nil, fmt.Errorf("exec: nil program")
@@ -151,6 +119,10 @@ func NewEngineFromProgram(prog *program.Program, w *Weights) (*Engine, error) {
 	if prog.Batch < 1 {
 		return nil, fmt.Errorf("exec: program compiled for invalid batch %d", prog.Batch)
 	}
+	// The plan's Threads value is a budget, not a mandate: running more
+	// CPU-bound tasks than the runtime has processors only interleaves
+	// half-finished convolutions on the same core and thrashes its
+	// caches, so the pool is capped at GOMAXPROCS.
 	workers := prog.Plan.Threads
 	if workers < 1 {
 		workers = 1
@@ -180,12 +152,11 @@ func (e *Engine) MaxBatch() int { return e.maxBatch }
 
 // dst materializes the destination batch for an out-of-place
 // instruction: the tenant view of its planned slot, or a fresh
-// caller-owned allocation for the network output (and, in batch-1
-// programs, nothing — conv outputs there are primitive-allocated and
-// never pass through dst). Blocked-layout slot tenants clear their
-// view first — their padding lanes must hold zeros and their kernels
-// write only logical elements; plain layouts skip the memset because
-// every physical element is a logical element the kernel overwrites.
+// caller-owned allocation for the network output. Blocked-layout slot
+// tenants clear their view first — their padding lanes must hold zeros
+// and their kernels write only logical elements; plain layouts skip the
+// memset because every physical element is a logical element the
+// kernel overwrites.
 func (e *Engine) dst(st *batchState, ins *program.Instr) *tensor.Batch {
 	if ins.Slot == program.NoSlot {
 		return tensor.NewBatch(ins.Layout, st.n, ins.C, ins.H, ins.W)
@@ -237,8 +208,8 @@ func (e *Engine) bindKernels() error {
 			// into engine-provided destinations and treat mismatches as
 			// programming errors (panics), so anything a corrupted plan
 			// or weight set could get wrong must fail engine
-			// construction with an error instead — the behavior the
-			// per-image path's run-time checks gave the serving layer.
+			// construction with an error instead, which the serving
+			// layer can report.
 			if sc.M != l.OutC || sc.OutH() != l.OutH || sc.OutW() != l.OutW {
 				return fmt.Errorf("exec: layer %q scenario %s produces %d×%d×%d, layer wants %d×%d×%d",
 					l.Name, sc, sc.M, sc.OutH(), sc.OutW(), l.OutC, l.OutH, l.OutW)
@@ -272,44 +243,10 @@ func (e *Engine) bindKernels() error {
 			}
 			wantIn := prim.In
 			if len(ins.CvtIn) > 0 {
-				if e.maxBatch == 1 {
-					return fmt.Errorf("exec: layer %q absorbs a conversion in a per-image engine", l.Name)
-				}
 				if len(ins.CvtIn) != 1 || ins.CvtIn[0].To != prim.In || !prim.CanAbsorbInput(ins.CvtIn[0].From) {
 					return fmt.Errorf("exec: layer %q: primitive %s cannot absorb input conversion", l.Name, prim.Name)
 				}
 				wantIn = ins.CvtIn[0].From
-			}
-			if e.maxBatch == 1 {
-				// The per-image path: the primitive allocates its own
-				// output, exactly as the original engine executed; a fused
-				// epilogue is applied in place on the fresh allocation,
-				// which is bitwise what the separate instruction computed.
-				e.kerns[i] = func(st *batchState, threads int) (*tensor.Batch, error) {
-					in := st.vals[ins.Args[0]].Image(0)
-					if in.Layout != prim.In {
-						return nil, fmt.Errorf("exec: layer %q: got %s input, primitive %s wants %s",
-							l.Name, in.Layout, prim.Name, prim.In)
-					}
-					out := prim.Run(in, k, sc, threads)
-					if out.C != l.OutC || out.H != l.OutH || out.W != l.OutW {
-						return nil, fmt.Errorf("exec: layer %q produced %s, want %d×%d×%d",
-							l.Name, out, l.OutC, l.OutH, l.OutW)
-					}
-					ob := tensor.NewBatchWith(out.Layout, 1, out.C, out.H, out.W, out.Data)
-					if epi != gemm.EpiNone {
-						var res *tensor.Batch
-						if hasRes {
-							res = st.vals[ins.Args[1]]
-							if res.Layout != ob.Layout || len(res.Data) < len(ob.Data) {
-								return nil, fmt.Errorf("exec: layer %q: residual batch mismatches output", l.Name)
-							}
-						}
-						conv.ApplyEpilogueBatch(ob, epi, res, threads)
-					}
-					return ob, nil
-				}
-				break
 			}
 			e.kerns[i] = func(st *batchState, threads int) (*tensor.Batch, error) {
 				in := st.vals[ins.Args[0]]
@@ -703,20 +640,4 @@ func (e *Engine) taskThreads(st *batchState) int {
 		return e.workers
 	}
 	return 1
-}
-
-// RunBatch executes the plan on a minibatch with a freshly constructed
-// batched engine sized to the batch — the convenience entry point
-// mirroring Run. Callers that execute a plan repeatedly should
-// construct one Engine (per batch-size bucket) and reuse it, keeping
-// the compiled program and its arena warm across calls.
-func RunBatch(plan *selector.Plan, inputs []*tensor.Tensor, w *Weights) ([]*tensor.Tensor, error) {
-	if len(inputs) == 0 {
-		return nil, fmt.Errorf("exec: empty batch")
-	}
-	e, err := NewEngineBatch(plan, w, len(inputs))
-	if err != nil {
-		return nil, err
-	}
-	return e.RunBatch(inputs)
 }

@@ -30,10 +30,9 @@ func newInput(net *dnn.Graph, seed int64) *tensor.Tensor {
 
 // testEngineAgainstReference runs the full chain on one network: a
 // PBQP-optimized plan executed by the engine must compute the same
-// function as the textbook reference executor — on both execution
-// paths: the per-image batch-1 engine (calls chunked image by image)
-// and the batched engine whose memory plan and kernels are sized to
-// the whole minibatch.
+// function as the textbook reference executor — both from a batch-1
+// engine (calls chunked image by image) and from an engine whose memory
+// plan is sized to the whole minibatch.
 func testEngineAgainstReference(t *testing.T, net *dnn.Graph, threads int, inputs []*tensor.Tensor) {
 	t.Helper()
 	w := NewWeights(net)
@@ -177,8 +176,7 @@ func TestEngineMatchesReferenceVGGAndResNetStyle(t *testing.T) {
 // exercised. Each batch size selects its own per-bucket plan
 // (selector.SelectBatch: batch-amortized node costs genuinely change
 // the picked primitives) and compiles its own program (the memory plan
-// is N-dependent: batched programs slot conv outputs and scale every
-// slot by N), so this covers every plan a batch-aware serving registry
+// is N-dependent: every slot scales by N), so this covers every plan a batch-aware serving registry
 // would execute. (Full-size VGG is opt-in via DNNEXEC_FULL=1 — its
 // reference execution alone runs minutes.) Batch slots repeat one
 // image so the whole-model oracle runs once; distinct-image batch
@@ -234,9 +232,9 @@ func TestEngineMatchesReferenceFullModels(t *testing.T) {
 }
 
 // TestEngineDeterministicSingleThread: at Threads=1 the engine must be
-// bitwise deterministic run to run, arena recycling included — on the
-// per-image path and on the batched path (whose restructured kernels
-// accumulate in a fixed order regardless of batch position). The pin
+// bitwise deterministic run to run, arena recycling included — at
+// batch 1 and batched (the batched kernels accumulate in a fixed order
+// regardless of batch position). The pin
 // is scoped to one GEMM microkernel variant at a time: the AVX2 and
 // pure-Go packed microkernels associate partial products differently,
 // so runs are bitwise repeatable only while dispatch stays on one
@@ -335,7 +333,7 @@ func TestEngineMatchesSequentialRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng, err := NewEngine(plan, w)
+		eng, err := NewEngineBatch(plan, w, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -456,7 +454,7 @@ func TestRunNeverAliasesCallerInput(t *testing.T) {
 	runners := map[string]func(*tensor.Tensor) (*tensor.Tensor, error){
 		"sequential": func(in *tensor.Tensor) (*tensor.Tensor, error) { return Run(plan, in, w) },
 		"engine": func(in *tensor.Tensor) (*tensor.Tensor, error) {
-			eng, err := NewEngine(plan, w)
+			eng, err := NewEngineBatch(plan, w, 1)
 			if err != nil {
 				return nil, err
 			}
@@ -506,7 +504,7 @@ func TestEngineRejectsBadBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewEngine(plan, w)
+	eng, err := NewEngineBatch(plan, w, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -536,11 +534,11 @@ func TestNewEngineRejectsCorruptPlan(t *testing.T) {
 	id := net.ConvLayers()[0]
 	saved := plan.Layouts[id]
 	plan.Layouts[id] = (saved + 1) % 8
-	if _, err := NewEngine(plan, w); err == nil {
-		t.Error("NewEngine should reject a plan whose layouts disagree with its primitives")
+	if _, err := NewEngineBatch(plan, w, 1); err == nil {
+		t.Error("NewEngineBatch should reject a plan whose layouts disagree with its primitives")
 	}
 	plan.Layouts[id] = saved
-	if _, err := NewEngine(plan, w); err != nil {
+	if _, err := NewEngineBatch(plan, w, 1); err != nil {
 		t.Errorf("restored plan should pass: %v", err)
 	}
 }
@@ -552,7 +550,7 @@ func TestArenaRecyclesAcrossRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewEngine(plan, w)
+	eng, err := NewEngineBatch(plan, w, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -633,9 +631,8 @@ func TestArenaRecyclesExactSizes(t *testing.T) {
 }
 
 // TestArenaBoundsFreeLists: releasing more buffers than the per-size
-// cap must drop the excess (a long-lived engine also receives buffers
-// it never handed out — conv outputs, conversion temporaries — and
-// must not hoard them without bound).
+// cap must drop the excess (a long-lived engine must not hoard
+// released buffers without bound).
 func TestArenaBoundsFreeLists(t *testing.T) {
 	a := newArena()
 	const n = defaultArenaDepth * 3

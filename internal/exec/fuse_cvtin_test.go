@@ -62,9 +62,9 @@ func cvtInPlan(t *testing.T, threads int) *selector.Plan {
 }
 
 // TestEngineAbsorbedConversionMatchesReference executes the crafted
-// plan batched (where the compiler absorbs the conversion) and
-// image-by-image (where it does not — batch-1 programs keep explicit
-// conversions), checking both against the reference on distinct images.
+// plan at batch 1 and batched — the compiler absorbs the conversion at
+// every batch size — checking both against the reference on distinct
+// images.
 func TestEngineAbsorbedConversionMatchesReference(t *testing.T) {
 	for _, threads := range []int{1, 2} {
 		plan := cvtInPlan(t, threads)
@@ -86,9 +86,9 @@ func TestEngineAbsorbedConversionMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if maxBatch > 1 && eng.prog.Stats.FusedConversions != 1 {
-				t.Fatalf("batched crafted plan absorbed %d conversions, want 1",
-					eng.prog.Stats.FusedConversions)
+			if eng.prog.Stats.FusedConversions != 1 {
+				t.Fatalf("crafted plan at maxBatch %d absorbed %d conversions, want 1",
+					maxBatch, eng.prog.Stats.FusedConversions)
 			}
 			outs, err := eng.RunBatch(inputs)
 			if err != nil {

@@ -240,33 +240,6 @@ func TestMinibatchSweep(t *testing.T) {
 	}
 }
 
-// TestBatchSweep: the batched-vs-per-image comparison must run end to
-// end on a real model and produce positive measurements with coherent
-// speedup ratios; wall clock is noisy, so no ordering is pinned.
-func TestBatchSweep(t *testing.T) {
-	pts, err := BatchSweep("micronet", 1, []int{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 2 {
-		t.Fatalf("%d points, want 2", len(pts))
-	}
-	for _, p := range pts {
-		if p.Net != "micronet" || p.Threads != 1 {
-			t.Errorf("mislabeled point: %+v", p)
-		}
-		if p.BatchedNsPerImage <= 0 || p.PerImageNsPerImage <= 0 {
-			t.Errorf("batch %d: non-positive measurement: %+v", p.Batch, p)
-		}
-		if want := p.PerImageNsPerImage / p.BatchedNsPerImage; p.SpeedupX != want {
-			t.Errorf("batch %d: speedup %v inconsistent with ratio %v", p.Batch, p.SpeedupX, want)
-		}
-	}
-	if out := FormatBatchSweep(pts); !strings.Contains(out, "per-image") {
-		t.Error("sweep rendering broken")
-	}
-}
-
 // TestFuseSweep: the fused-vs-unfused comparison must run end to end
 // on the smallest model — one solve per batch, both compiles, two
 // engines, measured ratio — with self-consistent program-shape stats,

@@ -9,7 +9,6 @@ import (
 	"pbqpdnn/internal/conv"
 	"pbqpdnn/internal/cost"
 	"pbqpdnn/internal/dnn"
-	"pbqpdnn/internal/dnn/models"
 	"pbqpdnn/internal/exec"
 	"pbqpdnn/internal/selector"
 	"pbqpdnn/internal/tensor"
@@ -111,26 +110,11 @@ type MinibatchPoint struct {
 	WallPerImageMS float64
 }
 
-// BatchSweepPoint is one row of the batched-versus-per-image engine
-// comparison on a real network: the same legalized plan executed by
-// the batch-N compiled program (one batched frame, batched kernels)
-// and by the per-image batch-1 program looped over the same images.
-// SpeedupX > 1 means the batched program wins per image.
-type BatchSweepPoint struct {
-	Net     string
-	Batch   int
-	Threads int
-	// BatchedNsPerImage and PerImageNsPerImage are wall ns per image.
-	BatchedNsPerImage  float64
-	PerImageNsPerImage float64
-	SpeedupX           float64
-}
-
-// batchSweepReps is how many timed runs each BatchSweep measurement
-// takes; the recorded figure is the minimum. Per-commit CI archives
-// these records, and on shared runners a single timed iteration can
-// swing tens of percent — min-of-k keeps consecutive commits'
-// artifacts comparable.
+// batchSweepReps is how many timed runs each plansweep and fusesweep
+// measurement takes; the recorded figure is the minimum. Per-commit CI
+// archives these records, and on shared runners a single timed
+// iteration can swing tens of percent — min-of-k keeps consecutive
+// commits' artifacts comparable.
 const batchSweepReps = 3
 
 // minWallNs runs fn reps times and returns the minimum wall time in
@@ -147,86 +131,6 @@ func minWallNs(reps int, fn func() error) (float64, error) {
 		}
 	}
 	return best, nil
-}
-
-// BatchSweep measures the batched compiled path against the per-image
-// compiled path on one of the real model zoo networks. Both engines
-// share one PBQP plan; each batch size compiles its own batched
-// program (the memory plan is N-dependent). Engines are warmed with
-// one untimed run so arena cold misses don't pollute the comparison,
-// and each recorded figure is the minimum of batchSweepReps timed
-// runs.
-func BatchSweep(netName string, threads int, batches []int) ([]BatchSweepPoint, error) {
-	g, err := models.Build(netName)
-	if err != nil {
-		return nil, err
-	}
-	plan, err := selector.Select(g, selector.Options{
-		Prof: cost.NewModel(cost.IntelHaswell), Threads: threads})
-	if err != nil {
-		return nil, err
-	}
-	w := exec.NewWeights(g)
-	perImage, err := exec.NewEngine(plan, w)
-	if err != nil {
-		return nil, err
-	}
-	var pts []BatchSweepPoint
-	for _, batch := range batches {
-		batched, err := exec.NewEngineBatch(plan, w, batch)
-		if err != nil {
-			return nil, err
-		}
-		inputs := makeBatch(g, batch)
-		if _, err := batched.RunBatch(inputs); err != nil { // warm
-			return nil, err
-		}
-		batchedTotal, err := minWallNs(batchSweepReps, func() error {
-			_, err := batched.RunBatch(inputs)
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		batchedNs := batchedTotal / float64(batch)
-
-		if _, err := perImage.RunBatch(inputs[:1]); err != nil { // warm
-			return nil, err
-		}
-		perTotal, err := minWallNs(batchSweepReps, func() error {
-			_, err := perImage.RunBatch(inputs) // chunked image by image
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		perNs := perTotal / float64(batch)
-
-		pts = append(pts, BatchSweepPoint{
-			Net:                netName,
-			Batch:              batch,
-			Threads:            threads,
-			BatchedNsPerImage:  batchedNs,
-			PerImageNsPerImage: perNs,
-			SpeedupX:           perNs / batchedNs,
-		})
-	}
-	return pts, nil
-}
-
-// FormatBatchSweep renders the comparison.
-func FormatBatchSweep(pts []BatchSweepPoint) string {
-	var b strings.Builder
-	if len(pts) > 0 {
-		fmt.Fprintf(&b, "== batched vs per-image compiled path (%s, %d threads) ==\n",
-			pts[0].Net, pts[0].Threads)
-	}
-	fmt.Fprintf(&b, "%-7s %-16s %-16s %s\n", "batch", "batched ms/img", "per-image ms/img", "speedup")
-	for _, p := range pts {
-		fmt.Fprintf(&b, "%-7d %-16.1f %-16.1f %.2fx\n",
-			p.Batch, p.BatchedNsPerImage/1e6, p.PerImageNsPerImage/1e6, p.SpeedupX)
-	}
-	return b.String()
 }
 
 // batchedNet is the sweep's workload: a two-convolution stack at a

@@ -31,7 +31,7 @@ func (p *Program) Source() string {
 	if p.Batch > 1 {
 		per = fmt.Sprintf(" [%s/image]", fmtBytes(s.PeakBytes/int64(p.Batch)))
 	}
-	fmt.Fprintf(&b, "// peak resident %s for the batch%s on the sequential schedule (slots %s + dynamic %s; unplanned would hold %s)\n",
+	fmt.Fprintf(&b, "// peak resident %s for the batch%s (slots %s + output %s; unplanned would hold %s)\n",
 		fmtBytes(s.PeakBytes), per, fmtBytes(s.SlotBytes), fmtBytes(s.DynamicPeakBytes), fmtBytes(s.NaiveBytes))
 	for i := range p.Instrs {
 		ins := &p.Instrs[i]

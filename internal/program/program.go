@@ -88,9 +88,8 @@ func (o Op) String() string {
 }
 
 // NoSlot marks a value that does not live in a planned slot: the
-// primitive-allocated output of a convolution, or the caller-owned
-// network output (which must be freshly allocated every run so returned
-// tensors are never recycled underneath the caller).
+// caller-owned network output, which must be freshly allocated every
+// run so returned tensors are never recycled underneath the caller.
 const NoSlot = -1
 
 // Instr is one instruction of the stream. Its ID doubles as the id of
@@ -142,7 +141,7 @@ type Instr struct {
 
 	// CvtIn, when non-empty, is a legalized input-conversion chain the
 	// fusion pass absorbed into the convolution's patch-building pack
-	// (OpConv at batch > 1 only): Args[0] arrives in CvtIn[0].From and the
+	// (OpConv only): Args[0] arrives in CvtIn[0].From and the
 	// layout-general packer gathers it directly, so the intermediate
 	// converted slab is never materialized.
 	CvtIn []tensor.Transform
@@ -191,15 +190,11 @@ type Stats struct {
 	// SlotBytes is the resident footprint of the batch's slot frame
 	// (per-image slot capacities × N).
 	SlotBytes int64
-	// DynamicPeakBytes is the peak of concurrently live dynamic values
-	// (per-image convolution outputs in batch-1 programs, and the
-	// caller-owned network output) under the sequential topological
-	// schedule, scaled by N. Parallel branch execution can hold more
-	// dynamic values live at once, so this is a lower bound on
-	// worst-case residency, not a ceiling.
+	// DynamicPeakBytes is the batch's caller-owned network output, the
+	// one value allocated outside the slot frame.
 	DynamicPeakBytes int64
 	// PeakBytes is SlotBytes + DynamicPeakBytes: the batch's peak
-	// resident payload on the sequential schedule.
+	// resident payload.
 	PeakBytes int64
 	// NaiveBytes is the sum of every value's payload across the batch —
 	// what an executor without buffer reuse or in-place execution
@@ -226,9 +221,7 @@ type Program struct {
 
 	// Batch is the minibatch size N this program was compiled for. The
 	// instruction stream is N-independent, but the memory plan is not:
-	// slot frames are sized by N, and batched programs (N > 1) plan
-	// convolution outputs into slots too, because batched conv kernels
-	// write into caller-provided destinations instead of allocating.
+	// slot frames are sized by N.
 	Batch int
 
 	// Instrs is the topologically ordered instruction stream; an
@@ -286,8 +279,8 @@ func inPlaceable(o Op) bool {
 // validator (internal/verify) registers itself here in tests, so every
 // program the suite compiles is re-checked from first principles by
 // code that shares nothing with the compiler that built it. Production
-// builds leave it nil; it must be set before any Compile call and never
-// mutated concurrently with compilation.
+// builds leave it nil; it must be set before any CompileBatch call and
+// never mutated concurrently with compilation.
 var DebugVerify func(*Program) error
 
 // Clone returns a deep copy of the program: the instruction stream,
@@ -312,13 +305,6 @@ func (p *Program) Clone() *Program {
 	return &q
 }
 
-// Compile lowers a checked plan into the batch-1 Program IR: the
-// per-image program whose convolution outputs are primitive-allocated.
-// It is CompileBatch at N = 1.
-func Compile(plan *selector.Plan) (*Program, error) {
-	return CompileBatch(plan, 1)
-}
-
 // CompileBatch lowers a checked plan into the Program IR for an
 // N-image minibatch: emit one instruction per layer (plus one fused
 // conversion instruction per legalized edge), link the dependency
@@ -332,12 +318,10 @@ func Compile(plan *selector.Plan) (*Program, error) {
 // bucket against another bucket's optimization.
 //
 // The instruction stream is identical for every N; the memory plan is
-// not. At N = 1 convolution outputs stay dynamic (the per-image
-// primitives allocate their own outputs, preserving the original
-// per-image execution path); at N > 1 the batched kernels write into
-// caller-provided destinations, so convolution outputs join the
-// wildcard values in the planned slots and the whole batch executes
-// against a statically planned, arena-recycled frame.
+// sized by N. Every kernel, convolutions included, writes into a
+// provided destination, so every value but the network output lives in
+// a planned slot and the whole batch executes against a statically
+// planned, arena-recycled frame.
 func CompileBatch(plan *selector.Plan, batch int) (*Program, error) {
 	return compilePlan(plan, batch, true)
 }
@@ -606,13 +590,10 @@ func (p *Program) planMemory() {
 			}
 		}
 
-		if ins.Donor < 0 && (ins.Op != OpConv || p.Batch > 1) && j != p.Output {
+		if ins.Donor < 0 && j != p.Output {
 			// Out-of-place value: claim a reusable slot whose guards are
 			// all strict ancestors, preferring the tightest capacity fit;
-			// grow or open a slot otherwise. Batch-1 programs exclude
-			// convolutions (their per-image primitives allocate outputs);
-			// batched programs slot them, since batched kernels write
-			// into provided destinations.
+			// grow or open a slot otherwise.
 			need := ins.DataLen()
 			best, bestWaste := -1, 0
 			for k, f := range free {
@@ -667,22 +648,6 @@ func (p *Program) computeStats() {
 	for _, c := range p.SlotCap {
 		s.SlotBytes += int64(c) * 4
 	}
-	// Simulate the sequential schedule to find the dynamic peak.
-	lastUse := make([]int, len(p.Instrs))
-	for v := range lastUse {
-		lastUse[v] = -1
-	}
-	donated := make([]bool, len(p.Instrs))
-	for j := range p.Instrs {
-		ins := &p.Instrs[j]
-		for _, a := range ins.Args {
-			lastUse[a] = j
-		}
-		if ins.Donor >= 0 {
-			donated[ins.Args[ins.Donor]] = true
-		}
-	}
-	var live, peak int64
 	for j := range p.Instrs {
 		ins := &p.Instrs[j]
 		s.NaiveBytes += ins.Bytes()
@@ -696,30 +661,11 @@ func (p *Program) computeStats() {
 		if len(ins.CvtIn) > 0 {
 			s.FusedConversions++
 		}
-		if ins.Slot == NoSlot && ins.Donor < 0 {
-			live += ins.Bytes()
-			if live > peak {
-				peak = live
-			}
-		}
-		for _, a := range distinct(ins.Args) {
-			if lastUse[a] != j || donated[a] {
-				continue
-			}
-			// Walk back through any donation chain to the allocating
-			// instruction to decide whether a dynamic buffer just died.
-			v := a
-			for p.Instrs[v].Donor >= 0 {
-				v = p.Instrs[v].Args[p.Instrs[v].Donor]
-			}
-			if p.Instrs[v].Slot == NoSlot {
-				live -= p.Instrs[v].Bytes()
-			}
-		}
 	}
+	// The network output is the only value planMemory leaves unslotted.
 	n := int64(p.Batch)
 	s.SlotBytes *= n
-	s.DynamicPeakBytes = peak * n
+	s.DynamicPeakBytes = p.Instrs[p.Output].Bytes() * n
 	s.NaiveBytes *= n
 	s.PeakBytes = s.SlotBytes + s.DynamicPeakBytes
 }
@@ -803,9 +749,6 @@ func (p *Program) Validate() error {
 			}
 			wantIn := ins.Prim.In
 			if len(ins.CvtIn) > 0 {
-				if p.Batch < 2 {
-					return fmt.Errorf("program: conv instr %q absorbs a conversion in a batch-1 program", ins.Name)
-				}
 				if len(ins.CvtIn) != 1 {
 					return fmt.Errorf("program: conv instr %q absorbs a %d-step chain", ins.Name, len(ins.CvtIn))
 				}

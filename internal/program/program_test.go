@@ -18,7 +18,7 @@ func compile(t *testing.T, net *dnn.Graph, threads int) *Program {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := Compile(plan)
+	p, err := CompileBatch(plan, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,11 +305,11 @@ func TestCompileRejectsCorruptPlan(t *testing.T) {
 	id := net.ConvLayers()[0]
 	saved := plan.Layouts[id]
 	plan.Layouts[id] = (saved + 1) % 8
-	if _, err := Compile(plan); err == nil {
-		t.Error("Compile accepted a plan whose layouts disagree with its primitives")
+	if _, err := CompileBatch(plan, 1); err == nil {
+		t.Error("CompileBatch accepted a plan whose layouts disagree with its primitives")
 	}
 	plan.Layouts[id] = saved
-	if _, err := Compile(plan); err != nil {
+	if _, err := CompileBatch(plan, 1); err != nil {
 		t.Errorf("restored plan should compile: %v", err)
 	}
 }

@@ -115,12 +115,13 @@ type Model struct {
 	OutC, OutH, OutW int // network output shape
 }
 
-// Plan returns the batch-1 (per-image) plan — what the naive baseline
+// Plan returns the batch-1 bucket's plan — what the naive baseline
 // and single-image paths report against.
 func (m *Model) Plan() *selector.Plan { return m.Buckets[0].Plan }
 
-// Engine returns the per-image (batch-1) engine: the naive
-// goroutine-per-request baseline path and the singleton-flush fallback.
+// Engine returns the batch-1 bucket's engine, the same batched kernels
+// over a one-image frame: the naive goroutine-per-request baseline
+// path and the singleton-flush fallback.
 func (m *Model) Engine() *exec.Engine { return m.Buckets[0].Engine }
 
 // batchBuckets enumerates the program-cache bucket sizes for a batcher

@@ -54,7 +54,7 @@ func TestModelEnginesPerBucket(t *testing.T) {
 		t.Fatalf("bucket engines %v, want %v", got, want)
 	}
 	if m.Engine() != m.Buckets[0].Engine || m.Engine().MaxBatch() != 1 {
-		t.Error("Model.Engine is not the per-image bucket")
+		t.Error("Model.Engine is not the batch-1 bucket")
 	}
 	for n, wantBucket := range map[int]int{1: 1, 2: 2, 3: 4, 4: 4, 5: 6, 6: 6, 9: 6} {
 		if got := m.EngineFor(n).MaxBatch(); got != wantBucket {
@@ -126,7 +126,7 @@ var errMismatch = &mismatchError{}
 
 type mismatchError struct{}
 
-func (*mismatchError) Error() string { return "batched output diverges from per-image engine" }
+func (*mismatchError) Error() string { return "batched output diverges from the batch-1 engine" }
 
 // TestLoadModelSelectsPerBucket: every bucket carries its own plan,
 // stamped with the bucket's batch size, and the compiled engine matches.

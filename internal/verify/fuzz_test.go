@@ -161,9 +161,8 @@ func runAccepted(t *testing.T, base *fuzzBase, q *program.Program, data []byte) 
 		t.Fatalf("%s: accepted mutant %v rejected by engine construction: %v", base.name, data, err)
 	}
 	inputs := base.inputs
-	// The mutant may have legally re-declared the batch (a batched
-	// program's structure is N-agnostic for N > 1); feed it exactly its
-	// declared batch.
+	// The mutant may have legally re-declared the batch (a program's
+	// structure is N-agnostic); feed it exactly its declared batch.
 	for len(inputs) < q.Batch {
 		inputs = append(inputs, base.inputs[len(inputs)%len(base.inputs)])
 	}
