@@ -23,7 +23,6 @@ import (
 	"pbqpdnn/internal/exec"
 	"pbqpdnn/internal/experiments"
 	"pbqpdnn/internal/pbqp"
-	"pbqpdnn/internal/program"
 	"pbqpdnn/internal/selector"
 	"pbqpdnn/internal/tensor"
 )
@@ -329,106 +328,6 @@ func BenchmarkRealExecution(b *testing.B) {
 			}
 		}
 	})
-}
-
-// benchEngineBatch compares per-image sequential execution (exec.Run
-// in a loop) against the batched, branch-parallel engine
-// (Engine.RunBatch) on the same legalized plan: the engine's
-// dependency-counting scheduler, buffer arena and layout fast paths
-// versus the oracle executor's fresh-allocation walk.
-func benchEngineBatch(b *testing.B, g *dnn.Graph, batch, threads int) {
-	w := exec.NewWeights(g)
-	plan, err := selector.Select(g, selector.Options{Prof: cost.NewModel(cost.IntelHaswell), Threads: threads})
-	if err != nil {
-		b.Fatal(err)
-	}
-	l := g.Layers[0]
-	inputs := make([]*tensor.Tensor, batch)
-	for i := range inputs {
-		inputs[i] = tensor.New(tensor.CHW, l.OutC, l.OutH, l.OutW)
-		inputs[i].FillRandom(int64(i + 1))
-	}
-	b.Run("sequential-run", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for _, in := range inputs {
-				if _, err := exec.Run(plan, in, w); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	b.Run(fmt.Sprintf("engine-runbatch-%dworkers", threads), func(b *testing.B) {
-		eng, err := exec.NewEngineBatch(plan, w, batch)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := eng.RunBatch(inputs[:1]); err != nil { // warm the arena
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.RunBatch(inputs); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkEngineBatch8SmallNet is the quick-iteration executor
-// benchmark on a small convolutional chain.
-func BenchmarkEngineBatch8SmallNet(b *testing.B) {
-	bld, x := dnn.NewBuilder("bench-net", 8, 32, 32)
-	x = bld.Conv(x, "c1", 16, 3, 1, 1)
-	x = bld.ReLU(x, "r1")
-	x = bld.Conv(x, "c2", 16, 3, 1, 1)
-	x = bld.MaxPool(x, "p1", 2, 2, 0)
-	x = bld.Conv(x, "c3", 24, 5, 1, 2)
-	bld.Softmax(x, "sm")
-	benchEngineBatch(b, bld.Graph(), 8, 4)
-}
-
-// BenchmarkEngineBatch8GoogLeNet is the headline executor benchmark:
-// a batch of 8 full-size GoogLeNet inferences, sequential per-image
-// Run versus RunBatch with 4 workers. The inception branches and the
-// minibatch dimension give the scheduler real concurrency to exploit.
-func BenchmarkEngineBatch8GoogLeNet(b *testing.B) {
-	g, err := models.Build("googlenet")
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchEngineBatch(b, g, 8, 4)
-}
-
-// BenchmarkEngineBatch8ResNet18 exercises the residual-add DAG on the
-// post-paper ResNet-18 workload.
-func BenchmarkEngineBatch8ResNet18(b *testing.B) {
-	g, err := models.Build("resnet-18")
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchEngineBatch(b, g, 8, 4)
-}
-
-// BenchmarkCompile times plan→Program lowering itself (instruction
-// emission, ancestry closure, liveness and slot assignment) on the
-// largest DAG.
-func BenchmarkCompile(b *testing.B) {
-	g, err := models.Build("googlenet")
-	if err != nil {
-		b.Fatal(err)
-	}
-	plan, err := selector.Select(g, selector.Options{Prof: cost.NewModel(cost.IntelHaswell), Threads: 4})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := program.CompileBatch(plan, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkPrimitiveKernels times a representative primitive from each

@@ -22,12 +22,10 @@
 //	curl localhost:8080/metrics
 //	curl localhost:6060/debug/pprof/profile?seconds=5 > cpu.pb.gz
 //
-// Load generation (the EXPERIMENTS.md acceptance run) drives N
-// closed-loop clients in process — first through the dynamic batcher,
-// then through a naive goroutine-per-request Engine.Run baseline — and
-// prints achieved batch sizes and latency percentiles side by side:
-//
-//	dnnserver -loadgen -models smallnet -clients 16 -requests 16
+// Serving under load is measured by the benchmark module's open-loop
+// serve_smallnet workload (bash benchmark/run.sh --workload
+// serve_smallnet): it drives serve.NewServer in process under this
+// command's default configuration.
 //
 // Selection uses the analytic Intel Haswell cost model unless -costs
 // points at a serialized cost table (see examples/deploy for the §4
@@ -36,7 +34,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"expvar"
 	"flag"
@@ -79,15 +76,6 @@ func main() {
 	maxWait := flag.Duration("max-wait", 2*time.Millisecond, "flush a partial minibatch once its oldest request has waited this long")
 	queueCap := flag.Int("queue", 0, "admission queue bound; overflow is rejected with 429 (0 = 4×max-batch)")
 	inflight := flag.Int("inflight", 1, "concurrent engine dispatches per model")
-
-	loadgen := flag.Bool("loadgen", false, "run the in-process load generator instead of serving, then exit")
-	clients := flag.Int("clients", 16, "loadgen: concurrent clients")
-	requests := flag.Int("requests", 16, "loadgen: requests per client")
-	interval := flag.Duration("interval", 0,
-		"loadgen: per-client arrival period for open-loop load (0 = closed loop); offered rps = clients/interval")
-	deadline := flag.Duration("deadline", 0,
-		"loadgen: per-request completion budget (0 = none); the batcher enforces it, the naive baseline is merely judged by it")
-	jsonOut := flag.Bool("json", false, "loadgen: emit machine-readable JSON instead of the table")
 	flag.Parse()
 
 	// Validate everything up front: model selection and compilation can
@@ -112,8 +100,6 @@ func main() {
 		{"-profile-sample", *profileSample, 0},
 		{"-calibrate-reps", *calReps, 1},
 		{"-calibrate-top", *calTopK, 0},
-		{"-clients", *clients, 1},
-		{"-requests", *requests, 1},
 	} {
 		if f.val < f.min {
 			log.Fatalf("%s %d: want ≥ %d", f.name, f.val, f.min)
@@ -154,11 +140,6 @@ func main() {
 		cfg.Prof = table
 	}
 
-	if *loadgen {
-		// Loadgen drives exactly one model; don't pay selection and
-		// compilation for the rest of the list.
-		names = names[:1]
-	}
 	start := time.Now()
 	reg, err := serve.NewRegistry(names, cfg)
 	if err != nil {
@@ -170,18 +151,6 @@ func main() {
 			name, m.Net.NumLayers(), m.InC, m.InH, m.InW, m.Plan().Optimal)
 	}
 	log.Printf("registry ready in %v", time.Since(start).Round(time.Millisecond))
-
-	if *loadgen {
-		o := serve.LoadOptions{
-			Clients: *clients, PerClient: *requests,
-			Interval: *interval, Deadline: *deadline,
-		}
-		if err := runLoadgen(reg, names[0], o, *jsonOut); err != nil {
-			log.Fatal(err)
-		}
-		reg.Close()
-		return
-	}
 
 	serve.PublishExpvar(reg)
 	if *debugAddr != "" {
@@ -225,46 +194,6 @@ func main() {
 	<-done
 }
 
-// runLoadgen runs the acceptance comparison: dynamic batching versus a
-// naive goroutine-per-request baseline on the same compiled engine.
-func runLoadgen(reg *serve.Registry, model string, o serve.LoadOptions, jsonOut bool) error {
-	m, ok := reg.Get(model)
-	if !ok {
-		return fmt.Errorf("model %q not hosted", model)
-	}
-	if o.Interval > 0 {
-		log.Printf("open-loop: offering %.0f req/s for ~%v%s",
-			float64(o.Clients)/o.Interval.Seconds(),
-			(time.Duration(o.PerClient) * o.Interval).Round(time.Millisecond),
-			deadlineNote(o.Deadline))
-	}
-	batched, err := serve.LoadTest(m, o)
-	if err != nil {
-		return err
-	}
-	naive, err := serve.NaiveLoadTest(m, o)
-	if err != nil {
-		return err
-	}
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(map[string]serve.LoadReport{"batched": batched, "naive": naive})
-	}
-	fmt.Print(serve.FormatLoadComparison(model, batched, naive))
-	if batched.Served == 0 || naive.Served == 0 {
-		fmt.Printf("\nno latency comparison: served batched %d, naive %d — "+
-			"lower the offered load or raise -deadline\n", batched.Served, naive.Served)
-		return nil
-	}
-	fmt.Printf("\nmean latency (served): batched %v vs naive %v (%.2f× better), mean batch %.2f\n",
-		batched.MeanLatency.Round(10*time.Microsecond),
-		naive.MeanLatency.Round(10*time.Microsecond),
-		float64(naive.MeanLatency)/float64(batched.MeanLatency),
-		batched.MeanBatch)
-	return nil
-}
-
 // validateModels rejects unknown model names before the registry pays
 // for selection and compilation, listing every buildable network.
 func validateModels(names []string) error {
@@ -283,11 +212,4 @@ func validateModels(names []string) error {
 		}
 	}
 	return nil
-}
-
-func deadlineNote(d time.Duration) string {
-	if d <= 0 {
-		return ""
-	}
-	return fmt.Sprintf(", %v deadline per request", d)
 }

@@ -3,9 +3,12 @@
 // whole-network strategy comparisons (Figures 5, 6, 7a, 7b), the
 // absolute-time tables (Tables 2 and 3), the qualitative family-traits
 // table (Table 1), the worked PBQP example (Figure 2) and the AlexNet
-// selection maps (Figure 4). Each experiment returns structured data
-// consumed by the dnnbench command, the benchmark harness and the
-// trend-assertion tests.
+// selection maps (Figure 4), plus the §8 sparsity and minibatch
+// extensions. Each experiment returns structured data consumed by the
+// dnnbench command, the root package's Go benchmarks and the
+// trend-assertion tests. Every time reported here is a cost-model
+// prediction, apart from the PBQP solve time of §5.4: no network is
+// executed (benchmark/ measures the engine).
 package experiments
 
 import (

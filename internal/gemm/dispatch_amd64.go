@@ -21,7 +21,7 @@ func xgetbv0() (eax, edx uint32)
 // the BCE guard both exempt bodyless (assembly) declarations by
 // construction — there is no Go body to audit — so the hot-loop
 // contract for this kernel is enforced by the differential fuzz and
-// the gemmsweep trend instead of by lint.
+// the benchmark's gemm.square_gflops instead of by lint.
 //
 //dnn:hotpath
 //go:noescape

@@ -456,7 +456,7 @@ func packBT(kc, nc, ldb int, src, dst []float32) {
 // packedRowK4 is the pure-Go microkernel — the documented fallback the
 // dispatcher selects on non-amd64 targets, under the `purego` build
 // tag, with DNN_NOSIMD set, or when the CPU lacks AVX2/FMA (and the
-// variant gemmsweep/differential tests force on any box via SetSIMD).
+// per-variant and differential tests force on any box via SetSIMD).
 // One C row is updated
 // against a resident kc×nc packed B block, with k unrolled by four so
 // each pass over the row combines four B panel rows (eight FLOPs per

@@ -136,8 +136,9 @@ func TestNoFuseBaselineShape(t *testing.T) {
 // TestFusionReducesInstructionsOnModels: on the real model zoo, fusion
 // must fold a substantial share of the stream (every conv feeding a
 // single relu fuses) without growing peak residency, at batch 1 and 8.
+// The micronet demo net rides along as the smallest fused program.
 func TestFusionReducesInstructionsOnModels(t *testing.T) {
-	for _, name := range models.Names() {
+	for _, name := range append(models.Names(), "micronet") {
 		g, err := models.Build(name)
 		if err != nil {
 			t.Fatal(err)

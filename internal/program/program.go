@@ -328,9 +328,9 @@ func CompileBatch(plan *selector.Plan, batch int) (*Program, error) {
 
 // CompileBatchNoFuse is CompileBatch with the instruction-fusion pass
 // disabled: every epilogue layer and legalized conversion stays a
-// separate instruction. It is the baseline arm for fused-vs-unfused
-// comparisons (dnnbench -exp fusesweep) and for tests that pin the
-// pre-fusion stream shape.
+// separate instruction. It is the unfused baseline: tests compile it to
+// pin the pre-fusion stream shape, and its instruction count and peak
+// bytes are what a fused compile reports as Stats.Unfused*.
 func CompileBatchNoFuse(plan *selector.Plan, batch int) (*Program, error) {
 	return compilePlan(plan, batch, false)
 }

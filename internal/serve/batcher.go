@@ -15,12 +15,10 @@
 //     compiled exactly once at startup and shared by all workers.
 //   - Metrics: queue depth, batch-size histogram, windowed latency
 //     percentiles, throughput — published as JSON and expvar.
-//   - LoadTest: an in-process load generator driving N closed-loop
-//     clients, with a naive goroutine-per-request baseline for
-//     comparison.
 //
 // The HTTP front end over all of this lives in NewServer and is wired
-// up by cmd/dnnserver.
+// up by cmd/dnnserver. The open-loop load generator that measures it
+// lives in the benchmark module (benchmark/), not here.
 package serve
 
 import (

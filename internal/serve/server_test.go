@@ -154,68 +154,3 @@ func TestRegistryUnknownModel(t *testing.T) {
 		t.Fatal("unknown model should fail registry construction")
 	}
 }
-
-// TestLoadTestSmoke drives both the batched path and the naive baseline
-// end to end on micronet and sanity-checks the reports. (The perf
-// comparison itself is the EXPERIMENTS.md acceptance run via
-// dnnserver -loadgen; asserting speedups in unit tests invites flakes.)
-func TestLoadTestSmoke(t *testing.T) {
-	reg := newTestRegistry(t)
-	m, _ := reg.Get("micronet")
-
-	o := LoadOptions{Clients: 4, PerClient: 3}
-	batched, err := LoadTest(m, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	naive, err := NaiveLoadTest(m, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range []LoadReport{batched, naive} {
-		if r.Requests != 12 || r.Errors != 0 {
-			t.Errorf("%s: %d requests, %d errors", r.Mode, r.Requests, r.Errors)
-		}
-		if r.MeanLatency <= 0 || r.P99 < r.P50 {
-			t.Errorf("%s: degenerate latencies %+v", r.Mode, r)
-		}
-	}
-	if batched.MeanBatch < 1 {
-		t.Errorf("batched mean batch %.2f < 1", batched.MeanBatch)
-	}
-	if naive.MeanBatch != 1 {
-		t.Errorf("naive mean batch %.2f, want exactly 1", naive.MeanBatch)
-	}
-	if out := FormatLoadComparison("micronet", batched, naive); len(out) == 0 {
-		t.Error("empty comparison output")
-	}
-}
-
-// TestLoadTestOpenLoop exercises the open-loop arrival schedule with a
-// per-request deadline: every request must be accounted for exactly
-// once across served/rejected/expired/errors, and offered load must be
-// derived from the interval.
-func TestLoadTestOpenLoop(t *testing.T) {
-	reg := newTestRegistry(t)
-	m, _ := reg.Get("micronet")
-
-	o := LoadOptions{Clients: 2, PerClient: 5, Interval: time.Millisecond, Deadline: 100 * time.Millisecond}
-	for _, run := range []func(*Model, LoadOptions) (LoadReport, error){LoadTest, NaiveLoadTest} {
-		rep, err := run(m, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.Requests != 10 {
-			t.Errorf("%s: %d requests, want 10", rep.Mode, rep.Requests)
-		}
-		if got := rep.Served + rep.Rejected + rep.Expired + rep.Errors; got != rep.Requests {
-			t.Errorf("%s: outcomes sum to %d of %d (%+v)", rep.Mode, got, rep.Requests, rep)
-		}
-		if rep.OfferedRPS != 2000 {
-			t.Errorf("%s: offered %.0f rps, want 2000", rep.Mode, rep.OfferedRPS)
-		}
-		if rep.Late > rep.Served {
-			t.Errorf("%s: %d late exceeds %d served", rep.Mode, rep.Late, rep.Served)
-		}
-	}
-}
