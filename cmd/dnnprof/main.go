@@ -151,7 +151,7 @@ func printCandidates(g *dnn.Graph, prof cost.Profiler, threads, top int, batches
 				if !p.Supports(l.Conv) {
 					continue
 				}
-				c := cost.PrimitiveN(prof, p, l.Conv, threads, b)
+				c := prof.Primitive(p, l.Conv, threads, b)
 				if math.IsInf(c, 1) { // pruned out of a top-K table
 					continue
 				}

@@ -64,16 +64,20 @@ type boostedProfiler struct {
 	inner cost.Profiler
 }
 
-func (b boostedProfiler) Primitive(p *conv.Primitive, s conv.Scenario, threads int) float64 {
-	c := b.inner.Primitive(p, s, threads)
+func (b boostedProfiler) Primitive(p *conv.Primitive, s conv.Scenario, threads, n int) float64 {
+	c := b.inner.Primitive(p, s, threads, n)
 	if p.Name == "ensemble-pointwise-whc" {
 		return c * 0.3
 	}
 	return c
 }
 
-func (b boostedProfiler) Transform(tr tensor.Transform, c, h, w int) float64 {
-	return b.inner.Transform(tr, c, h, w)
+func (b boostedProfiler) Transform(tr tensor.Transform, c, h, w, n int) float64 {
+	return b.inner.Transform(tr, c, h, w, n)
+}
+
+func (b boostedProfiler) EpilogueSaving(p *conv.Primitive, s conv.Scenario, n int) float64 {
+	return b.inner.EpilogueSaving(p, s, n)
 }
 
 func main() {

@@ -18,16 +18,17 @@ import (
 // Scenario is the paper's 6-tuple {C,H,W,δ,K,M} describing a
 // convolutional layer: C input feature maps of H×W pixels, convolved
 // with M C-channel K×K filters at stride δ (field Stride), plus the
-// padding the public network models require. Batch and Sparsity carry
-// the paper's future-work extensions (§8): minibatch size (0 or 1 means
-// single inference) and the fraction of zero kernel weights.
+// padding the public network models require. Sparsity carries one of
+// the paper's future-work extensions (§8): the fraction of zero kernel
+// weights. The other, minibatch size, is not part of the scenario: it
+// is the n every cost.Profiler method takes, and the batch a plan is
+// selected and compiled at.
 type Scenario struct {
 	C, H, W  int
 	Stride   int
 	K        int
 	M        int
 	Pad      int
-	Batch    int
 	Sparsity float64
 }
 

@@ -46,8 +46,8 @@ func TestModelBasicSanity(t *testing.T) {
 			if !p.Supports(s) {
 				continue
 			}
-			c1 := mo.Primitive(p, s, 1)
-			c4 := mo.Primitive(p, s, 4)
+			c1 := mo.Primitive(p, s, 1, 1)
+			c4 := mo.Primitive(p, s, 4, 1)
 			if c1 <= 0 || c4 <= 0 {
 				t.Fatalf("%s: non-positive cost", p.Name)
 			}
@@ -61,7 +61,7 @@ func TestModelBasicSanity(t *testing.T) {
 func TestModelDeterministic(t *testing.T) {
 	mo := NewModel(CortexA57)
 	p := prim(t, "im2col-ab")
-	if mo.Primitive(p, vggLayer, 2) != mo.Primitive(p, vggLayer, 2) {
+	if mo.Primitive(p, vggLayer, 2, 1) != mo.Primitive(p, vggLayer, 2, 1) {
 		t.Error("model must be deterministic")
 	}
 }
@@ -70,9 +70,9 @@ func TestModelDeterministic(t *testing.T) {
 // layer: Winograd < im2 < sum2d single-threaded on Intel.
 func TestFastAlgorithmsWin(t *testing.T) {
 	mo := NewModel(IntelHaswell)
-	wino := mo.Primitive(prim(t, "wino2d-m4-k3-vf8"), vggLayer, 1)
-	im2 := mo.Primitive(prim(t, "im2col-blk"), vggLayer, 1)
-	sum := mo.Primitive(prim(t, "sum2d"), vggLayer, 1)
+	wino := mo.Primitive(prim(t, "wino2d-m4-k3-vf8"), vggLayer, 1, 1)
+	im2 := mo.Primitive(prim(t, "im2col-blk"), vggLayer, 1, 1)
+	sum := mo.Primitive(prim(t, "sum2d"), vggLayer, 1, 1)
 	if !(wino < im2 && im2 < sum) {
 		t.Errorf("expected wino (%g) < im2 (%g) < sum2d (%g)", wino, im2, sum)
 	}
@@ -89,8 +89,8 @@ func TestFFTBadForSmallKernels(t *testing.T) {
 	fftP, im2P := prim(t, "fft1d-pre"), prim(t, "im2col-blk")
 	k3 := vggLayer
 	k11 := conv.Scenario{C: 64, H: 56, W: 56, Stride: 1, K: 11, M: 64, Pad: 5}
-	ratio3 := mo.Primitive(fftP, k3, 1) / mo.Primitive(im2P, k3, 1)
-	ratio11 := mo.Primitive(fftP, k11, 1) / mo.Primitive(im2P, k11, 1)
+	ratio3 := mo.Primitive(fftP, k3, 1, 1) / mo.Primitive(im2P, k3, 1, 1)
+	ratio11 := mo.Primitive(fftP, k11, 1, 1) / mo.Primitive(im2P, k11, 1, 1)
 	if ratio3 < 1 {
 		t.Errorf("fft should lose on K=3 (ratio %.2f)", ratio3)
 	}
@@ -105,10 +105,10 @@ func TestVectorFactorMatchesPlatform(t *testing.T) {
 	vf4, vf8 := prim(t, "wino2d-m4-k3-vf4"), prim(t, "wino2d-m4-k3-vf8")
 	intel := NewModel(IntelHaswell)
 	arm := NewModel(CortexA57)
-	if intel.Primitive(vf8, vggLayer, 4) >= intel.Primitive(vf4, vggLayer, 4) {
+	if intel.Primitive(vf8, vggLayer, 4, 1) >= intel.Primitive(vf4, vggLayer, 4, 1) {
 		t.Error("Haswell should prefer the VF8 variant")
 	}
-	if arm.Primitive(vf4, vggLayer, 4) >= arm.Primitive(vf8, vggLayer, 4) {
+	if arm.Primitive(vf4, vggLayer, 4, 1) >= arm.Primitive(vf8, vggLayer, 4, 1) {
 		t.Error("Cortex-A57 should prefer the VF4 variant")
 	}
 }
@@ -122,7 +122,7 @@ func bestWino(mo *Model, s conv.Scenario, twoD bool, threads int) float64 {
 		if p.Family != conv.FamilyWinograd || p.Wino2D != twoD || !p.Supports(s) {
 			continue
 		}
-		c := mo.Primitive(p, s, threads)
+		c := mo.Primitive(p, s, threads, 1)
 		if !found || c < best {
 			best, found = c, true
 		}
@@ -152,8 +152,8 @@ func TestARMPrefers1DWinogradMT(t *testing.T) {
 func TestKn2LowMemoryNiche(t *testing.T) {
 	mo := NewModel(CortexA57)
 	big := conv.Scenario{C: 64, H: 112, W: 112, Stride: 1, K: 3, M: 64, Pad: 1}
-	kn2 := mo.Primitive(prim(t, "kn2row-blk"), big, 1)
-	im2 := mo.Primitive(prim(t, "im2col-blk"), big, 1)
+	kn2 := mo.Primitive(prim(t, "kn2row-blk"), big, 1, 1)
+	im2 := mo.Primitive(prim(t, "im2col-blk"), big, 1, 1)
 	if kn2 > im2*1.5 {
 		t.Errorf("kn2 should be competitive on large images: kn2=%g im2=%g", kn2, im2)
 	}
@@ -162,8 +162,8 @@ func TestKn2LowMemoryNiche(t *testing.T) {
 func TestTransformCostScalesWithSize(t *testing.T) {
 	mo := NewModel(IntelHaswell)
 	tr := tensor.DirectTransforms()[0]
-	small := mo.Transform(tr, 16, 28, 28)
-	large := mo.Transform(tr, 256, 56, 56)
+	small := mo.Transform(tr, 16, 28, 28, 1)
+	large := mo.Transform(tr, 256, 56, 56, 1)
 	if large <= small {
 		t.Error("transform cost must grow with tensor size")
 	}
@@ -174,7 +174,7 @@ func TestTransformCostScalesWithSize(t *testing.T) {
 
 func TestTransformSlowerOnARM(t *testing.T) {
 	tr := tensor.DirectTransforms()[0]
-	if NewModel(CortexA57).Transform(tr, 64, 56, 56) <= NewModel(IntelHaswell).Transform(tr, 64, 56, 56) {
+	if NewModel(CortexA57).Transform(tr, 64, 56, 56, 1) <= NewModel(IntelHaswell).Transform(tr, 64, 56, 56, 1) {
 		t.Error("lower-bandwidth platform must pay more for transforms")
 	}
 }
@@ -188,36 +188,73 @@ func TestSparsityReducesCost(t *testing.T) {
 	s0 := vggLayer
 	s9 := vggLayer
 	s9.Sparsity = 0.9
-	if mo.Primitive(sp, s9, 1) >= mo.Primitive(sp, s0, 1) {
+	if mo.Primitive(sp, s9, 1, 1) >= mo.Primitive(sp, s0, 1, 1) {
 		t.Error("sparse primitive should benefit from sparsity")
 	}
-	if mo.Primitive(dense, s9, 1) != mo.Primitive(dense, s0, 1) {
+	if mo.Primitive(dense, s9, 1, 1) != mo.Primitive(dense, s0, 1, 1) {
 		t.Error("dense primitive cost should ignore sparsity")
 	}
 }
 
-// TestMinibatchScalesCost: the other §8 extension.
+// TestMinibatchScalesCost: the other §8 extension. A batched im2col
+// call amortizes no algorithmic setup, so its batch-8 price stays close
+// to 8 images' worth.
 func TestMinibatchScalesCost(t *testing.T) {
 	mo := NewModel(IntelHaswell)
 	p := prim(t, "im2col-ab")
-	b1, b8 := vggLayer, vggLayer
-	b8.Batch = 8
-	c1, c8 := mo.Primitive(p, b1, 1), mo.Primitive(p, b8, 1)
+	c1, c8 := mo.Primitive(p, vggLayer, 1, 1), mo.Primitive(p, vggLayer, 1, 8)
 	if c8 < 6*c1 || c8 > 10*c1 {
 		t.Errorf("batch-8 cost %g should be ≈8× batch-1 cost %g", c8, c1)
 	}
 }
 
+// TestMeasureProfiler: the wall-clock profiler returns positive times
+// for primitives with and without a batched entry point, and for a
+// batched transform, at batch 1 and above.
 func TestMeasureProfiler(t *testing.T) {
 	me := NewMeasure(2)
 	s := conv.Scenario{C: 4, H: 12, W: 12, Stride: 1, K: 3, M: 4, Pad: 1}
-	c := me.Primitive(prim(t, "im2col-ab"), s, 1)
-	if c <= 0 {
-		t.Error("measured primitive cost must be positive")
-	}
 	tr := tensor.DirectTransforms()[0]
-	if me.Transform(tr, 4, 12, 12) <= 0 {
-		t.Error("measured transform cost must be positive")
+	for _, n := range []int{1, 3} {
+		for _, name := range []string{"im2col-ab", "im2row-ab", "direct-mchw"} {
+			if c := me.Primitive(prim(t, name), s, 1, n); c <= 0 {
+				t.Errorf("%s at n=%d: measured cost %g must be positive", name, n, c)
+			}
+		}
+		if c := me.Transform(tr, 4, 12, 12, n); c <= 0 {
+			t.Errorf("transform at n=%d: measured cost %g must be positive", n, c)
+		}
+		if c := me.EpilogueSaving(prim(t, "im2row-ab"), s, n); c != 0 {
+			t.Errorf("n=%d: measured epilogue saving %g, want 0 (none is measured)", n, c)
+		}
+	}
+}
+
+// TestMeasureTimesBatchedCall: Measure prices the call the engine makes
+// — conv.RunBatchInto, which binds a primitive's batched entry — at
+// every batch size, batch 1 included, and never the allocating
+// per-image Run.
+func TestMeasureTimesBatchedCall(t *testing.T) {
+	s := conv.Scenario{C: 2, H: 6, W: 6, Stride: 1, K: 3, M: 2, Pad: 1}
+	for _, n := range []int{1, 3} {
+		calls := 0
+		fake := &conv.Primitive{
+			Name: "fake-batched", Family: conv.FamilyIm2, In: tensor.CHW, Out: tensor.CHW,
+			Run: func(*tensor.Tensor, *conv.Kernel, conv.Scenario, int) *tensor.Tensor {
+				panic("per-image Run timed; the engine calls RunBatchInto")
+			},
+			RunBatch: func(dst, in *tensor.Batch, _ *conv.Kernel, _ conv.Scenario, _ int) {
+				if in.N != n || dst.N != n {
+					t.Errorf("RunBatch over %d→%d images, want %d", in.N, dst.N, n)
+				}
+				calls++
+			},
+		}
+		me := &Measure{Reps: 4}
+		me.Primitive(fake, s, 1, n)
+		if calls != me.Reps {
+			t.Errorf("n=%d: RunBatch called %d times, want Reps = %d", n, calls, me.Reps)
+		}
 	}
 }
 
@@ -251,7 +288,7 @@ func TestBatchAmortization(t *testing.T) {
 	if wino.RunBatch == nil {
 		t.Fatal("wino2d-m4-k3-vf8 has no batched entry; test assumption broken")
 	}
-	w1, wN := mo.Primitive(wino, late, 1), mo.PrimitiveBatch(wino, late, 1, n)
+	w1, wN := mo.Primitive(wino, late, 1, 1), mo.Primitive(wino, late, 1, n)
 	if wN >= float64(n)*w1 {
 		t.Errorf("batched wino cost %g should amortize below %d × %g", wN, n, w1)
 	}
@@ -263,42 +300,16 @@ func TestBatchAmortization(t *testing.T) {
 	if direct.RunBatch != nil {
 		t.Fatal("direct-mchw grew a batched entry; update the fallback side of this test")
 	}
-	d1, dN := mo.Primitive(direct, late, 1), mo.PrimitiveBatch(direct, late, 1, n)
+	d1, dN := mo.Primitive(direct, late, 1, 1), mo.Primitive(direct, late, 1, n)
 	if got, want := dN, float64(n)*d1; got != want {
 		t.Errorf("fallback primitive batch cost %g, want exactly %d × %g = %g", got, n, d1, want)
 	}
 
-	// The generic helpers dispatch through the batch-aware contract.
-	if got := PrimitiveN(mo, wino, late, 1, n); got != wN {
-		t.Errorf("PrimitiveN = %g, want the BatchProfiler answer %g", got, wN)
-	}
 	tr := tensor.DirectTransforms()[0]
-	tb := mo.TransformBatch(tr, 64, 28, 28, n)
-	lin := float64(n) * mo.Transform(tr, 64, 28, 28)
+	tb := mo.Transform(tr, 64, 28, 28, n)
+	lin := float64(n) * mo.Transform(tr, 64, 28, 28, 1)
 	if tb >= lin {
 		t.Errorf("batched transform %g should shave the per-call overhead off %g", tb, lin)
-	}
-	if got := TransformN(mo, tr, 64, 28, 28, n); got != tb {
-		t.Errorf("TransformN = %g, want the BatchProfiler answer %g", got, tb)
-	}
-}
-
-// nonBatchProfiler implements only the batch-1 contract, to pin the
-// helpers' linear-scaling fallback.
-type nonBatchProfiler struct{}
-
-func (nonBatchProfiler) Primitive(*conv.Primitive, conv.Scenario, int) float64 { return 2e-3 }
-func (nonBatchProfiler) Transform(tensor.Transform, int, int, int) float64     { return 5e-4 }
-
-func TestPrimitiveNFallbackScalesLinearly(t *testing.T) {
-	p := prim(t, "sum2d")
-	s := conv.Scenario{C: 4, H: 8, W: 8, Stride: 1, K: 3, M: 4, Pad: 1}
-	if got := PrimitiveN(nonBatchProfiler{}, p, s, 1, 4); got != 8e-3 {
-		t.Errorf("PrimitiveN fallback = %g, want 4 × 2e-3", got)
-	}
-	tr := tensor.DirectTransforms()[0]
-	if got := TransformN(nonBatchProfiler{}, tr, 4, 8, 8, 4); got != 2e-3 {
-		t.Errorf("TransformN fallback = %g, want 4 × 5e-4", got)
 	}
 }
 
@@ -325,22 +336,5 @@ func TestMeasureThreadsWired(t *testing.T) {
 	}
 	if got := uncapped.threadBudget(7); got != 7 {
 		t.Errorf("Threads=0: threadBudget(7) = %d, want 7", got)
-	}
-}
-
-// TestMeasureBatch: the batched measurement path must execute the real
-// batched entry points and return positive wall times, for primitives
-// with and without a RunBatch implementation.
-func TestMeasureBatch(t *testing.T) {
-	me := NewMeasure(1)
-	s := conv.Scenario{C: 4, H: 12, W: 12, Stride: 1, K: 3, M: 4, Pad: 1}
-	for _, name := range []string{"im2row-ab", "direct-mchw"} {
-		if c := me.PrimitiveBatch(prim(t, name), s, 1, 3); c <= 0 {
-			t.Errorf("%s: measured batch cost %g must be positive", name, c)
-		}
-	}
-	tr := tensor.DirectTransforms()[0]
-	if c := me.TransformBatch(tr, 4, 12, 12, 3); c <= 0 {
-		t.Error("measured batched transform cost must be positive")
 	}
 }

@@ -12,9 +12,10 @@ import (
 // shape and takes the best of Reps runs — the literal analogue of the
 // paper's layerwise profiling step, which exploits the observation that
 // DNN layer runtime depends on input dimensions, not values (§2.2).
-// Batched costs come from wall-clocking the real batched entry points
-// (conv.RunBatchInto on an N-image tensor.Batch), so the serialized
-// table prices exactly what the compiled batched engine executes.
+// At every batch size, batch 1 included, it wall-clocks the call the
+// compiled engine binds — conv.RunBatchInto on an n-image tensor.Batch
+// into a pre-allocated destination — so the serialized table prices
+// exactly what the engine executes.
 type Measure struct {
 	// Reps is the number of timed repetitions (best-of). Values < 1
 	// mean 1.
@@ -76,32 +77,14 @@ func measureKernel(s conv.Scenario) *conv.Kernel {
 	return k
 }
 
-// Primitive times a real execution of p on scenario s.
-func (me *Measure) Primitive(p *conv.Primitive, s conv.Scenario, threads int) float64 {
-	threads = me.threadBudget(threads)
-	in := tensor.New(p.In, s.C, s.H, s.W)
-	in.FillRandom(1)
-	k := measureKernel(s)
-	return me.bestOf(func() { p.Run(in, k, s, threads) })
-}
-
-// PrimitiveBatch implements BatchProfiler by wall-clocking the real
-// batched entry point: one conv.RunBatchInto call over an n-image
-// batch slab, writing into a pre-allocated destination batch — the
-// exact call the compiled batched engine issues per conv instruction.
-// Primitives without a batched implementation go through RunBatchInto's
-// per-image fallback, so their measured cost honestly reflects the
-// executor's fallback path too.
-func (me *Measure) PrimitiveBatch(p *conv.Primitive, s conv.Scenario, threads, n int) float64 {
-	if n <= 1 {
-		return me.Primitive(p, s, threads)
-	}
-	// Scenarios carrying the legacy Batch parameter are priced linearly
-	// (see Model.PrimitiveBatch): the batched slabs here are sized by
-	// the n argument alone, so honoring both would double-count.
-	if s.Batch > 1 {
-		return float64(n) * me.Primitive(p, s, threads)
-	}
+// Primitive implements Profiler by wall-clocking one conv.RunBatchInto
+// call over an n-image batch slab into a pre-allocated destination
+// batch — the exact call the engine issues per conv instruction.
+// Primitives without a batched implementation go through
+// RunBatchInto's per-image fallback, so their measured cost reflects
+// the engine's fallback path too.
+func (me *Measure) Primitive(p *conv.Primitive, s conv.Scenario, threads, n int) float64 {
+	n = max(n, 1)
 	threads = me.threadBudget(threads)
 	in := tensor.NewBatch(p.In, n, s.C, s.H, s.W)
 	for i := 0; i < n; i++ {
@@ -112,21 +95,11 @@ func (me *Measure) PrimitiveBatch(p *conv.Primitive, s conv.Scenario, threads, n
 	return me.bestOf(func() { conv.RunBatchInto(p, dst, in, k, s, threads) })
 }
 
-// Transform times a real layout transform on a c×h×w tensor.
-func (me *Measure) Transform(tr tensor.Transform, c, h, w int) float64 {
-	src := tensor.New(tr.From, c, h, w)
-	src.FillRandom(3)
-	return me.bestOf(func() { tr.Run(src) })
-}
-
-// TransformBatch implements BatchProfiler by timing the conversion of
-// an n-image batch the way the engine executes it: one per-image
-// ConvertInto per slab, striding over the batch, with no intermediate
-// allocations.
-func (me *Measure) TransformBatch(tr tensor.Transform, c, h, w, n int) float64 {
-	if n <= 1 {
-		return me.Transform(tr, c, h, w)
-	}
+// Transform implements Profiler by timing the conversion of an n-image
+// batch the way the engine executes it: one tensor.ConvertInto per
+// image, striding over the batch, with no intermediate allocations.
+func (me *Measure) Transform(tr tensor.Transform, c, h, w, n int) float64 {
+	n = max(n, 1)
 	src := tensor.NewBatch(tr.From, n, c, h, w)
 	for i := 0; i < n; i++ {
 		src.Image(i).FillRandom(int64(i + 3))
@@ -138,3 +111,7 @@ func (me *Measure) TransformBatch(tr tensor.Transform, c, h, w, n int) float64 {
 		}
 	})
 }
+
+// EpilogueSaving implements Profiler. No fusion credit is measured yet,
+// so calibrated tables claim none, which is always sound.
+func (me *Measure) EpilogueSaving(*conv.Primitive, conv.Scenario, int) float64 { return 0 }

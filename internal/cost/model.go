@@ -8,93 +8,25 @@ import (
 	"pbqpdnn/internal/tensor"
 )
 
-// Profiler prices primitives and layout transforms; it is the cost
-// source consumed by the selector (paper §3.1). Implementations return
-// seconds.
+// Profiler prices primitives, layout transforms and epilogue fusion
+// for an n-image minibatch; it is the cost source consumed by the
+// selector (paper §3.1). Every method prices the whole batch in
+// seconds, and n ≤ 1 means one image. The three shipped profilers (the
+// analytic Model, the wall-clock Measure and the serialized Table) all
+// price the batched call the engine makes at that n.
 type Profiler interface {
-	// Primitive returns the cost of executing p on scenario s with the
-	// given thread count.
-	Primitive(p *conv.Primitive, s conv.Scenario, threads int) float64
-	// Transform returns the cost of one direct layout transform applied
-	// to a logical c×h×w tensor.
-	Transform(tr tensor.Transform, c, h, w int) float64
-}
-
-// BatchProfiler is the batch-aware extension of the Profiler contract:
-// it prices (primitive, scenario, N) triples, so the selector can solve
-// a separate PBQP instance per serving batch bucket against costs that
-// reflect batch amortization — the one-time kernel transform and pack
-// work a batched implementation pays once per call, versus the
-// streaming work it pays once per image. All three shipped profilers
-// (the analytic Model, the wall-clock Measure, and the serialized
-// Table) implement it; callers should go through PrimitiveN/TransformN,
-// which fall back to linear scaling of the batch-1 cost for profilers
-// that do not.
-type BatchProfiler interface {
-	Profiler
-	// PrimitiveBatch returns the cost of executing p once over an
-	// n-image minibatch (the whole batch, not per image).
-	PrimitiveBatch(p *conv.Primitive, s conv.Scenario, threads, n int) float64
-	// TransformBatch returns the cost of converting an n-image batch of
-	// logical c×h×w tensors in one fused batched call.
-	TransformBatch(tr tensor.Transform, c, h, w, n int) float64
-}
-
-// EpilogueProfiler is the optional fusion-aware extension of the
-// Profiler contract: it prices the time a primitive saves by folding a
-// single elementwise consumer (relu, residual add) into its output
-// writeback instead of leaving it as a separate streaming pass over the
-// output slab. The selector subtracts this credit from the node cost of
-// every fusion-capable candidate whose layer feeds exactly one
-// elementwise consumer, so re-selection can shift toward primitives the
-// fusion pass can actually fuse.
-type EpilogueProfiler interface {
-	// EpilogueSaving returns the seconds saved per call by fusing one
-	// elementwise epilogue into p's writeback, for an n-image batch.
+	// Primitive returns the cost of executing p once over an n-image
+	// batch of scenario s with the given thread count.
+	Primitive(p *conv.Primitive, s conv.Scenario, threads, n int) float64
+	// Transform returns the cost of converting an n-image batch of
+	// logical c×h×w tensors with one direct layout transform.
+	Transform(tr tensor.Transform, c, h, w, n int) float64
+	// EpilogueSaving returns the seconds saved per call by folding one
+	// elementwise consumer (relu, residual add) into p's output
+	// writeback instead of running it as a separate streaming pass over
+	// the n-image output slab. Whether p can fuse at all is the
+	// selector's check, not the profiler's.
 	EpilogueSaving(p *conv.Primitive, s conv.Scenario, n int) float64
-}
-
-// EpilogueSavingN returns the fusion credit for p on s over an n-image
-// batch, or 0 when the profiler has no epilogue model or the primitive
-// cannot fuse (no credit may ever be claimed the fusion pass cannot
-// realize).
-func EpilogueSavingN(prof Profiler, p *conv.Primitive, s conv.Scenario, n int) float64 {
-	if p == nil || !p.CanFuseEpilogue() {
-		return 0
-	}
-	if ep, ok := prof.(EpilogueProfiler); ok {
-		if n < 1 {
-			n = 1
-		}
-		return ep.EpilogueSaving(p, s, n)
-	}
-	return 0
-}
-
-// PrimitiveN prices p over an n-image minibatch through prof,
-// dispatching to the batch-aware contract when the profiler supports it
-// and otherwise scaling the batch-1 cost linearly — the conservative
-// model for a profiler that never saw a batch.
-func PrimitiveN(prof Profiler, p *conv.Primitive, s conv.Scenario, threads, n int) float64 {
-	if n <= 1 {
-		return prof.Primitive(p, s, threads)
-	}
-	if bp, ok := prof.(BatchProfiler); ok {
-		return bp.PrimitiveBatch(p, s, threads, n)
-	}
-	return float64(n) * prof.Primitive(p, s, threads)
-}
-
-// TransformN prices one layout conversion of an n-image batch through
-// prof, with the same linear-scaling fallback as PrimitiveN.
-func TransformN(prof Profiler, tr tensor.Transform, c, h, w, n int) float64 {
-	if n <= 1 {
-		return prof.Transform(tr, c, h, w)
-	}
-	if bp, ok := prof.(BatchProfiler); ok {
-		return bp.TransformBatch(tr, c, h, w, n)
-	}
-	return float64(n) * prof.Transform(tr, c, h, w)
 }
 
 // Model is the analytic machine-model profiler. It is deterministic:
@@ -259,38 +191,19 @@ func (mo *Model) time(p *conv.Primitive, s conv.Scenario, threads int, ops, traf
 }
 
 // Primitive implements Profiler with the roofline-style model
-// max(compute, memory) plus fixed overhead.
-func (mo *Model) Primitive(p *conv.Primitive, s conv.Scenario, threads int) float64 {
-	ops := algOps(p, s)
-	traffic := float64(s.InputBytes() + s.OutputBytes() + s.KernelBytes() + 2*p.Workspace(s))
-	if s.Batch > 1 {
-		ops *= float64(s.Batch)
-		traffic *= float64(s.Batch)
-	}
-	return mo.time(p, s, threads, ops, traffic, 1) + perCallOverhead
-}
-
-// PrimitiveBatch implements BatchProfiler with batch-amortization
-// terms. A primitive with a real batched entry point pays its setup
-// work (Winograd kernel transform, FFT kernel spectra), its kernel
-// traffic and the dispatch overhead once per call, and only the
-// per-image streaming work N times. A primitive without one executes
-// through the per-image fallback — N independent dispatches with
-// nothing amortized — so its batched cost scales linearly, which is
-// exactly what makes the cost-optimal choice batch-dependent.
-func (mo *Model) PrimitiveBatch(p *conv.Primitive, s conv.Scenario, threads, n int) float64 {
-	if n <= 1 {
-		return mo.Primitive(p, s, threads)
-	}
-	// A scenario carrying its own legacy Batch parameter (the §8
-	// minibatch-in-the-scenario encoding) must not be amortized a
-	// second time against the bucket size: price it linearly through
-	// Primitive, which already scales by s.Batch.
-	if s.Batch > 1 {
-		return float64(n) * mo.Primitive(p, s, threads)
-	}
-	if p.RunBatch == nil {
-		return float64(n) * mo.Primitive(p, s, threads)
+// max(compute, memory) plus fixed overhead. A primitive with a real
+// batched entry point pays its setup work (Winograd kernel transform,
+// FFT kernel spectra), its kernel traffic and the dispatch overhead
+// once per call, and only the per-image streaming work n times. A
+// primitive without one executes through the per-image fallback — n
+// independent dispatches with nothing amortized — so its cost scales
+// linearly, which is exactly what makes the cost-optimal choice
+// batch-dependent.
+func (mo *Model) Primitive(p *conv.Primitive, s conv.Scenario, threads, n int) float64 {
+	if n <= 1 || p.RunBatch == nil {
+		ops := algOps(p, s)
+		traffic := float64(s.InputBytes() + s.OutputBytes() + s.KernelBytes() + 2*p.Workspace(s))
+		return float64(max(n, 1)) * (mo.time(p, s, threads, ops, traffic, 1) + perCallOverhead)
 	}
 	setup := setupOps(p, s)
 	perImage := algOps(p, s) - setup
@@ -301,22 +214,13 @@ func (mo *Model) PrimitiveBatch(p *conv.Primitive, s conv.Scenario, threads, n i
 	return mo.time(p, s, threads, ops, traffic, effMul) + perCallOverhead
 }
 
-// EpilogueSaving implements EpilogueProfiler. A standalone elementwise
-// pass streams the output slab through memory twice (read + write) and
-// pays one dispatch; fusing it into the producing kernel's writeback
-// makes both disappear — the epilogue is applied to rows already
-// resident in registers. Scenarios carrying the legacy in-scenario
-// batch encoding are priced conservatively at zero: their per-image
-// amortization is already folded into Primitive and a second credit
-// would double-count.
+// EpilogueSaving implements Profiler. A standalone elementwise pass
+// streams the output slab through memory twice (read + write) and pays
+// one dispatch; fusing it into the producing kernel's writeback makes
+// both disappear — the epilogue is applied to rows already resident in
+// registers.
 func (mo *Model) EpilogueSaving(p *conv.Primitive, s conv.Scenario, n int) float64 {
-	if p == nil || !p.CanFuseEpilogue() || s.Batch > 1 {
-		return 0
-	}
-	if n < 1 {
-		n = 1
-	}
-	bytes := 2 * float64(n) * float64(s.OutputBytes())
+	bytes := 2 * float64(max(n, 1)) * float64(s.OutputBytes())
 	return bytes/(mo.M.MemBW*1e9) + perCallOverhead
 }
 
@@ -324,20 +228,10 @@ func (mo *Model) EpilogueSaving(p *conv.Primitive, s conv.Scenario, n int) float
 // gather/scatter traffic with poor locality, so their effective
 // bandwidth is a small fraction of streaming bandwidth — the reason DT
 // costs can dominate small layers (paper §5.8, the GoogleNet direct
-// slowdown).
-func (mo *Model) Transform(tr tensor.Transform, c, h, w int) float64 {
-	bytes := float64(tensor.DataLen(tr.From, c, h, w)+tensor.DataLen(tr.To, c, h, w)) * 4
-	return bytes*(transformFactor(tr)/16)/(mo.M.GatherBW*1e9) + 2e-6
-}
-
-// TransformBatch implements BatchProfiler. The executor fuses an
-// edge's whole conversion chain into one batched call striding image by
-// image, so gather/scatter traffic scales with n while the dispatch
-// overhead is paid once per batch.
-func (mo *Model) TransformBatch(tr tensor.Transform, c, h, w, n int) float64 {
-	if n <= 1 {
-		return mo.Transform(tr, c, h, w)
-	}
-	bytes := float64(n) * float64(tensor.DataLen(tr.From, c, h, w)+tensor.DataLen(tr.To, c, h, w)) * 4
+// slowdown). The executor converts a whole batch in one call striding
+// image by image, so traffic scales with n while the dispatch overhead
+// is paid once.
+func (mo *Model) Transform(tr tensor.Transform, c, h, w, n int) float64 {
+	bytes := float64(max(n, 1)) * float64(tensor.DataLen(tr.From, c, h, w)+tensor.DataLen(tr.To, c, h, w)) * 4
 	return bytes*(transformFactor(tr)/16)/(mo.M.GatherBW*1e9) + 2e-6
 }

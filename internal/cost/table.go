@@ -129,8 +129,8 @@ func (t *Table) AddNetTopK(net *dnn.Graph, lib []*conv.Primitive, ranker, meas P
 			for _, b := range batches {
 				ranked := append([]*conv.Primitive(nil), cands...)
 				sort.SliceStable(ranked, func(i, j int) bool {
-					return PrimitiveN(ranker, ranked[i], s, t.Threads, b) <
-						PrimitiveN(ranker, ranked[j], s, t.Threads, b)
+					return ranker.Primitive(ranked[i], s, t.Threads, b) <
+						ranker.Primitive(ranked[j], s, t.Threads, b)
 				})
 				for i := 0; i < k && i < len(ranked); i++ {
 					keep[ranked[i].Name] = true
@@ -153,9 +153,9 @@ func (t *Table) AddNetTopK(net *dnn.Graph, lib []*conv.Primitive, ranker, meas P
 			}
 			for _, p := range cands {
 				if _, done := row[p.Name]; !done {
-					row[p.Name] = PrimitiveN(meas, p, s, t.Threads, b)
+					row[p.Name] = meas.Primitive(p, s, t.Threads, b)
 				}
-				if save := EpilogueSavingN(meas, p, s, b); save > 0 {
+				if save := meas.EpilogueSaving(p, s, b); save > 0 {
 					if t.Epilogues == nil {
 						t.Epilogues = map[string]map[string]float64{}
 					}
@@ -179,7 +179,7 @@ func (t *Table) AddNetTopK(net *dnn.Graph, lib []*conv.Primitive, ranker, meas P
 			}
 			row := map[string]float64{}
 			for _, tr := range tensor.DirectTransforms() {
-				row[tr.Name] = TransformN(meas, tr, l.OutC, l.OutH, l.OutW, b)
+				row[tr.Name] = meas.Transform(tr, l.OutC, l.OutH, l.OutW, b)
 			}
 			t.Transforms[key] = row
 		}
@@ -213,86 +213,41 @@ func BuildTableBatches(net *dnn.Graph, lib []*conv.Primitive, prof Profiler, mac
 	return t
 }
 
+// lookup answers a Profiler query from one table section: the entry at
+// batch n's key, else — the documented no-amortization estimate that
+// keeps batch-1-only tables usable for per-bucket selection — n times
+// the batch-1 entry, else miss.
+func lookup(section map[string]map[string]float64, key func(n int) string, name string, n int, miss float64) float64 {
+	if v, ok := section[key(n)][name]; ok {
+		return v
+	}
+	if n > 1 {
+		if v, ok := section[key(1)][name]; ok {
+			return float64(n) * v
+		}
+	}
+	return miss
+}
+
 // Primitive implements Profiler from the materialized table. Entries
 // missing from the table (a scenario or primitive that was not
 // profiled) cost +Inf, so the selector will never choose them.
-func (t *Table) Primitive(p *conv.Primitive, s conv.Scenario, threads int) float64 {
-	if row, ok := t.Nodes[nodeKey(s, 1)]; ok {
-		if c, ok := row[p.Name]; ok {
-			return c
-		}
-	}
-	return math.Inf(1)
+func (t *Table) Primitive(p *conv.Primitive, s conv.Scenario, threads, n int) float64 {
+	return lookup(t.Nodes, func(n int) string { return nodeKey(s, n) }, p.Name, n, math.Inf(1))
 }
 
-// PrimitiveBatch implements BatchProfiler from the materialized table.
-// A missing (scenario, N) entry falls back to N times the batch-1
-// entry — the documented no-amortization estimate that keeps old
-// shape-only tables usable for per-bucket selection — and +Inf when
-// the scenario was never profiled at all.
-func (t *Table) PrimitiveBatch(p *conv.Primitive, s conv.Scenario, threads, n int) float64 {
-	if row, ok := t.Nodes[nodeKey(s, n)]; ok {
-		if c, ok := row[p.Name]; ok {
-			return c
-		}
-	}
-	if n > 1 {
-		if row, ok := t.Nodes[nodeKey(s, 1)]; ok {
-			if c, ok := row[p.Name]; ok {
-				return float64(n) * c
-			}
-		}
-	}
-	return math.Inf(1)
+// Transform implements Profiler from the materialized table; missing
+// entries cost +Inf.
+func (t *Table) Transform(tr tensor.Transform, c, h, w, n int) float64 {
+	return lookup(t.Transforms, func(n int) string { return transformKey(c, h, w, n) }, tr.Name, n, math.Inf(1))
 }
 
-// EpilogueSaving implements EpilogueProfiler from the table. A missing
-// (scenario, N) entry falls back to N times the batch-1 entry (the
-// saving is a streaming pass over the output slab, linear in the batch)
-// and to zero — never a fabricated credit — when the scenario carries
-// no epilogue entry at all.
+// EpilogueSaving implements Profiler from the table. The saving is a
+// streaming pass over the output slab, linear in the batch, and a
+// scenario with no epilogue entry claims zero — never a fabricated
+// credit.
 func (t *Table) EpilogueSaving(p *conv.Primitive, s conv.Scenario, n int) float64 {
-	if row, ok := t.Epilogues[nodeKey(s, n)]; ok {
-		if v, ok := row[p.Name]; ok {
-			return v
-		}
-	}
-	if n > 1 {
-		if row, ok := t.Epilogues[nodeKey(s, 1)]; ok {
-			if v, ok := row[p.Name]; ok {
-				return float64(n) * v
-			}
-		}
-	}
-	return 0
-}
-
-// Transform implements Profiler from the materialized table.
-func (t *Table) Transform(tr tensor.Transform, c, h, w int) float64 {
-	if row, ok := t.Transforms[transformKey(c, h, w, 1)]; ok {
-		if v, ok := row[tr.Name]; ok {
-			return v
-		}
-	}
-	return math.Inf(1)
-}
-
-// TransformBatch implements BatchProfiler from the table, with the
-// same batch-1 linear-scaling fallback as PrimitiveBatch.
-func (t *Table) TransformBatch(tr tensor.Transform, c, h, w, n int) float64 {
-	if row, ok := t.Transforms[transformKey(c, h, w, n)]; ok {
-		if v, ok := row[tr.Name]; ok {
-			return v
-		}
-	}
-	if n > 1 {
-		if row, ok := t.Transforms[transformKey(c, h, w, 1)]; ok {
-			if v, ok := row[tr.Name]; ok {
-				return float64(n) * v
-			}
-		}
-	}
-	return math.Inf(1)
+	return lookup(t.Epilogues, func(n int) string { return nodeKey(s, n) }, p.Name, n, 0)
 }
 
 // NumEntries returns the total number of profiled costs — the "tiny"

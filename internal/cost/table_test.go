@@ -39,8 +39,8 @@ func TestBuildTableCoversNetwork(t *testing.T) {
 			if !p.Supports(s) {
 				continue
 			}
-			got := tab.Primitive(p, s, 2)
-			want := mo.Primitive(p, s, 2)
+			got := tab.Primitive(p, s, 2, 1)
+			want := mo.Primitive(p, s, 2, 1)
 			if got != want {
 				t.Errorf("%s on %s: table %g != live %g", p.Name, s, got, want)
 			}
@@ -49,8 +49,8 @@ func TestBuildTableCoversNetwork(t *testing.T) {
 	// Transform entries exist for every layer output shape.
 	for _, l := range net.Layers {
 		for _, tr := range tensor.DirectTransforms() {
-			got := tab.Transform(tr, l.OutC, l.OutH, l.OutW)
-			want := mo.Transform(tr, l.OutC, l.OutH, l.OutW)
+			got := tab.Transform(tr, l.OutC, l.OutH, l.OutW, 1)
+			want := mo.Transform(tr, l.OutC, l.OutH, l.OutW, 1)
 			if got != want {
 				t.Errorf("%s at %dx%dx%d: table %g != live %g", tr.Name, l.OutC, l.OutH, l.OutW, got, want)
 			}
@@ -62,10 +62,10 @@ func TestTableMissingEntriesAreInf(t *testing.T) {
 	tab := &Table{Nodes: map[string]map[string]float64{}, Transforms: map[string]map[string]float64{}}
 	p := conv.Sum2D()
 	s := conv.Scenario{C: 1, H: 4, W: 4, Stride: 1, K: 1, M: 1}
-	if !math.IsInf(tab.Primitive(p, s, 1), 1) {
+	if !math.IsInf(tab.Primitive(p, s, 1, 1), 1) {
 		t.Error("missing node entry should be +Inf")
 	}
-	if !math.IsInf(tab.Transform(tensor.DirectTransforms()[0], 1, 2, 3), 1) {
+	if !math.IsInf(tab.Transform(tensor.DirectTransforms()[0], 1, 2, 3, 1), 1) {
 		t.Error("missing transform entry should be +Inf")
 	}
 }
@@ -104,14 +104,14 @@ func TestTableJSONRoundTrip(t *testing.T) {
 			if !p.Supports(s) {
 				continue
 			}
-			if loaded.Primitive(p, s, 4) != tab.Primitive(p, s, 4) {
+			if loaded.Primitive(p, s, 4, 1) != tab.Primitive(p, s, 4, 1) {
 				t.Errorf("node cost for %s on %s changed across round trip", p.Name, s)
 			}
 		}
 	}
 	for _, l := range net.Layers {
 		for _, tr := range tensor.DirectTransforms() {
-			if loaded.Transform(tr, l.OutC, l.OutH, l.OutW) != tab.Transform(tr, l.OutC, l.OutH, l.OutW) {
+			if loaded.Transform(tr, l.OutC, l.OutH, l.OutW, 1) != tab.Transform(tr, l.OutC, l.OutH, l.OutW, 1) {
 				t.Errorf("transform cost for %s at %d×%d×%d changed across round trip",
 					tr.Name, l.OutC, l.OutH, l.OutW)
 			}
@@ -184,8 +184,8 @@ func TestTableBatchKeysRoundTrip(t *testing.T) {
 				continue
 			}
 			for _, b := range batches {
-				got := loaded.PrimitiveBatch(p, s, 2, b)
-				want := mo.PrimitiveBatch(p, s, 2, b)
+				got := loaded.Primitive(p, s, 2, b)
+				want := mo.Primitive(p, s, 2, b)
 				if got != want {
 					t.Errorf("%s on %s @%d: table %g != live %g", p.Name, s, b, got, want)
 				}
@@ -194,8 +194,8 @@ func TestTableBatchKeysRoundTrip(t *testing.T) {
 	}
 	for _, l := range net.Layers {
 		for _, tr := range tensor.DirectTransforms() {
-			got := loaded.TransformBatch(tr, l.OutC, l.OutH, l.OutW, 4)
-			want := mo.TransformBatch(tr, l.OutC, l.OutH, l.OutW, 4)
+			got := loaded.Transform(tr, l.OutC, l.OutH, l.OutW, 4)
+			want := mo.Transform(tr, l.OutC, l.OutH, l.OutW, 4)
 			if got != want {
 				t.Errorf("%s at %dx%dx%d @4: table %g != live %g", tr.Name, l.OutC, l.OutH, l.OutW, got, want)
 			}
@@ -216,18 +216,18 @@ func TestTableBatchFallback(t *testing.T) {
 		if !p.Supports(s) {
 			continue
 		}
-		b1 := tab.Primitive(p, s, 1)
-		if got, want := tab.PrimitiveBatch(p, s, 1, 8), 8*b1; got != want {
+		b1 := tab.Primitive(p, s, 1, 1)
+		if got, want := tab.Primitive(p, s, 1, 8), 8*b1; got != want {
 			t.Errorf("%s: batch-8 fallback %g, want 8 × %g = %g", p.Name, got, b1, want)
 		}
 	}
 	tr := tensor.DirectTransforms()[0]
 	l := net.Layers[0]
-	if got, want := tab.TransformBatch(tr, l.OutC, l.OutH, l.OutW, 8), 8*tab.Transform(tr, l.OutC, l.OutH, l.OutW); got != want {
+	if got, want := tab.Transform(tr, l.OutC, l.OutH, l.OutW, 8), 8*tab.Transform(tr, l.OutC, l.OutH, l.OutW, 1); got != want {
 		t.Errorf("transform batch-8 fallback %g, want %g", got, want)
 	}
 	missing := conv.Scenario{C: 999, H: 9, W: 9, Stride: 1, K: 3, M: 9, Pad: 1}
-	if !math.IsInf(tab.PrimitiveBatch(conv.Sum2D(), missing, 1, 8), 1) {
+	if !math.IsInf(tab.Primitive(conv.Sum2D(), missing, 1, 8), 1) {
 		t.Error("unprofiled scenario should be +Inf at any batch")
 	}
 }
@@ -251,14 +251,11 @@ func TestTableMixedVersionLoad(t *testing.T) {
 	}
 	s := conv.Scenario{C: 3, H: 16, W: 16, Stride: 1, K: 3, M: 8, Pad: 1}
 	p := conv.Sum2D()
-	if got := tab.Primitive(p, s, 1); got != 0.25 {
+	if got := tab.Primitive(p, s, 1, 1); got != 0.25 {
 		t.Errorf("batch-1 lookup = %g, want 0.25", got)
 	}
-	if got := tab.PrimitiveBatch(p, s, 1, 4); got != 1.0 {
+	if got := tab.Primitive(p, s, 1, 4); got != 1.0 {
 		t.Errorf("batch-4 lookup through legacy table = %g, want 4 × 0.25", got)
-	}
-	if got := PrimitiveN(tab, p, s, 1, 4); got != 1.0 {
-		t.Errorf("PrimitiveN over legacy table = %g, want 1.0", got)
 	}
 	var chw2hwc tensor.Transform
 	for _, tr := range tensor.DirectTransforms() {
@@ -266,7 +263,7 @@ func TestTableMixedVersionLoad(t *testing.T) {
 			chw2hwc = tr
 		}
 	}
-	if got := tab.TransformBatch(chw2hwc, 8, 16, 16, 4); got != 0.5 {
+	if got := tab.Transform(chw2hwc, 8, 16, 16, 4); got != 0.5 {
 		t.Errorf("batched transform through legacy table = %g, want 4 × 0.125", got)
 	}
 }
@@ -294,7 +291,7 @@ func TestAddNetMergesWithoutReprofiling(t *testing.T) {
 	}
 	// First net's entries are still answered exactly.
 	s := tableNet().Layers[tableNet().ConvLayers()[0]].Conv
-	if got, want := tab.PrimitiveBatch(conv.Sum2D(), s, 1, 2), mo.PrimitiveBatch(conv.Sum2D(), s, 1, 2); got != want {
+	if got, want := tab.Primitive(conv.Sum2D(), s, 1, 2), mo.Primitive(conv.Sum2D(), s, 1, 2); got != want {
 		t.Errorf("first net entry %g, want %g after merge", got, want)
 	}
 }

@@ -174,8 +174,9 @@ func Reference(net *dnn.Graph, input *tensor.Tensor, w *Weights) (*tensor.Tensor
 // structure (not cost) matters.
 type zeroProfiler struct{}
 
-func (zeroProfiler) Primitive(*conv.Primitive, conv.Scenario, int) float64 { return 1 }
-func (zeroProfiler) Transform(tensor.Transform, int, int, int) float64     { return 1 }
+func (zeroProfiler) Primitive(*conv.Primitive, conv.Scenario, int, int) float64 { return 1 }
+func (zeroProfiler) Transform(tensor.Transform, int, int, int, int) float64     { return 1 }
+func (zeroProfiler) EpilogueSaving(*conv.Primitive, conv.Scenario, int) float64 { return 0 }
 
 // --- layer operators (layout-agnostic via logical indexing) ---
 

@@ -94,8 +94,8 @@ func denseLibrary() []*conv.Primitive {
 }
 
 // MinibatchPoint is one row of the §8 minibatch sweep: the cost
-// model's predicted total and per-image time of the plan selected for
-// the batch-parameterized graph.
+// model's predicted total and per-image time of the plan selected at
+// that batch size.
 type MinibatchPoint struct {
 	Batch      int
 	TotalMS    float64
@@ -103,17 +103,13 @@ type MinibatchPoint struct {
 }
 
 // batchedNet is the sweep's workload: a two-convolution stack at a
-// mid-network size, its conv layers parameterized by batch.
-func batchedNet(batch int) *dnn.Graph {
+// mid-network size.
+func batchedNet() *dnn.Graph {
 	b, x := dnn.NewBuilder("batched-net", 64, 28, 28)
 	x = b.Conv(x, "c1", 64, 3, 1, 1)
 	x = b.Conv(x, "c2", 64, 3, 1, 1)
 	x = b.Softmax(x, "sm")
-	g := b.Graph()
-	for _, id := range g.ConvLayers() {
-		g.Layers[id].Conv.Batch = batch
-	}
-	return g
+	return b.Graph()
 }
 
 // MinibatchSweep runs MinibatchSweepOpts at the paper-style defaults
@@ -122,21 +118,22 @@ func MinibatchSweep() ([]MinibatchPoint, error) {
 	return MinibatchSweepOpts(4, []int{1, 2, 4, 8, 16})
 }
 
-// MinibatchSweepOpts scales the batch parameter and reports the cost
-// model's per-image amortization, re-selecting the plan for each
-// batch-parameterized graph under the given thread budget.
+// MinibatchSweepOpts reports the cost model's per-image amortization,
+// re-selecting the plan at each batch size (selector.SelectBatch) under
+// the given thread budget.
 func MinibatchSweepOpts(threads int, batches []int) ([]MinibatchPoint, error) {
 	prof := cost.NewModel(cost.IntelHaswell)
+	net := batchedNet()
 	var pts []MinibatchPoint
 	for _, batch := range batches {
-		plan, err := selector.Select(batchedNet(batch), selector.Options{Prof: prof, Threads: threads})
+		plan, err := selector.SelectBatch(net, batch, selector.Options{Prof: prof, Threads: threads})
 		if err != nil {
 			return nil, err
 		}
 		pts = append(pts, MinibatchPoint{
 			Batch:      batch,
 			TotalMS:    plan.TotalCost() * 1e3,
-			PerImageMS: plan.TotalCost() * 1e3 / float64(batch),
+			PerImageMS: plan.CostPerImage() * 1e3,
 		})
 	}
 	return pts, nil

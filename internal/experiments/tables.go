@@ -141,7 +141,7 @@ func Table1(m cost.Machine) []Table1Row {
 			if !p.Supports(s) {
 				continue
 			}
-			c := prof.Primitive(p, s, 1)
+			c := prof.Primitive(p, s, 1, 1)
 			if b, ok := best[p.Family]; !ok || c < b {
 				best[p.Family] = c
 			}

@@ -192,7 +192,7 @@ func (d *dtCache) get(c, h, w int) *dtgraph.Graph {
 		return g
 	}
 	g := dtgraph.New(tensor.DirectTransforms(), func(tr tensor.Transform) float64 {
-		return cost.TransformN(d.prof, tr, c, h, w, d.batch)
+		return d.prof.Transform(tr, c, h, w, d.batch)
 	})
 	d.m[key] = g
 	return g
@@ -257,7 +257,7 @@ func build(net *dnn.Graph, opts *Options, convChoices map[int][]*conv.Primitive,
 				return nil, fmt.Errorf("selector: no candidate primitive for layer %q %s", l.Name, l.Conv)
 			}
 			for _, p := range prims {
-				c := cost.PrimitiveN(opts.Prof, p, l.Conv, opts.Threads, batch) * overhead
+				c := opts.Prof.Primitive(p, l.Conv, opts.Threads, batch) * overhead
 				// A +Inf cost means the profiler has no entry (a pruned
 				// candidate of a top-K calibrated table): exclude it from
 				// the instance rather than hand the solver infinities.
@@ -296,7 +296,7 @@ func build(net *dnn.Graph, opts *Options, convChoices map[int][]*conv.Primitive,
 			// where the fusion pass can realize it.
 			var credit float64
 			if fusable && cu.prim != nil {
-				base := cost.PrimitiveN(opts.Prof, cu.prim, lu.Conv, opts.Threads, batch)
+				base := opts.Prof.Primitive(cu.prim, lu.Conv, opts.Threads, batch)
 				credit = fusionCredit(opts.Prof, cu.prim, lu.Conv, batch, base) * overhead
 			}
 			for j, cv := range pr.choices[v] {
@@ -336,11 +336,16 @@ func fusionEligibleEdge(net *dnn.Graph, u, v int) bool {
 }
 
 // fusionCredit is the priced saving for fusing one elementwise epilogue
-// into primitive p's writeback, clamped so no credit can exceed 90% of
-// the node's own cost — the epilogue can at most save the streaming
-// pass, never make the convolution free.
+// into primitive p's writeback: zero for a primitive that cannot fuse
+// (no credit may ever be claimed the fusion pass cannot realize), and
+// clamped so no credit can exceed 90% of the node's own cost — the
+// epilogue can at most save the streaming pass, never make the
+// convolution free.
 func fusionCredit(prof cost.Profiler, p *conv.Primitive, s conv.Scenario, batch int, base float64) float64 {
-	save := cost.EpilogueSavingN(prof, p, s, batch)
+	if !p.CanFuseEpilogue() {
+		return 0
+	}
+	save := prof.EpilogueSaving(p, s, batch)
 	if max := 0.9 * base; save > max {
 		save = max
 	}
@@ -372,7 +377,7 @@ func (pr *problem) finish(net *dnn.Graph, opts *Options, name string) (*Plan, er
 		plan.Layouts[l.ID] = ch.outLayout()
 		if l.IsConv() {
 			plan.Primitives[l.ID] = ch.prim
-			c := cost.PrimitiveN(opts.Prof, ch.prim, l.Conv, opts.Threads, pr.batch)
+			c := opts.Prof.Primitive(ch.prim, l.Conv, opts.Threads, pr.batch)
 			plan.LayerCost[l.ID] = c
 			plan.NodeCost += c
 		}
@@ -433,9 +438,9 @@ func Select(net *dnn.Graph, opts Options) (*Plan, error) {
 
 // SelectBatch runs the full PBQP strategy against the costs of one
 // batch bucket: every conv node is priced by the batched entry points
-// at N images (cost.PrimitiveN — amortized setup for primitives with a
-// real batched implementation, linear scaling for the per-image
-// fallback), and every edge by the cost of converting the N-image slab
+// at N images (amortized setup for primitives with a real batched
+// implementation, linear scaling for the per-image fallback), and
+// every edge by the cost of converting the N-image slab
 // that actually flows over it. Each bucket therefore gets its own PBQP
 // instance and, in general, a different optimal plan — batched im2row
 // and wino2d amortize work the per-image primitives cannot, so the

@@ -354,18 +354,50 @@ func TestSparsitySelection(t *testing.T) {
 	}
 }
 
-// TestMinibatchSelection: the batch parameter scales costs but yields a
-// legal plan.
+// TestMinibatchSelection: selecting at a minibatch size scales the
+// predicted cost and yields a legal plan.
 func TestMinibatchSelection(t *testing.T) {
 	b, x := dnn.NewBuilder("batch-net", 32, 28, 28)
 	x = b.Conv(x, "c1", 32, 3, 1, 1)
 	g := func() *dnn.Graph { b.Softmax(x, "sm"); return b.Graph() }()
-	g.Layers[g.ConvLayers()[0]].Conv.Batch = 8
-	plan, err := Select(g, intelOpts(4))
+	b1, err := Select(g, intelOpts(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := SelectBatch(g, 8, intelOpts(4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkLegal(t, plan)
+	if plan.TotalCost() <= b1.TotalCost() {
+		t.Errorf("batch-8 plan cost %g should exceed the batch-1 cost %g", plan.TotalCost(), b1.TotalCost())
+	}
+}
+
+// TestVendorProfilerKeepsBatchPrices: the vendor tax wraps the inner
+// profiler's batched price — amortization included — rather than
+// pricing a batch as n separate images, and the proxy claims no fusion
+// credit.
+func TestVendorProfilerKeepsBatchPrices(t *testing.T) {
+	mo := cost.NewModel(cost.IntelHaswell)
+	v := vendorProfiler{inner: mo}
+	s := conv.Scenario{C: 160, H: 7, W: 7, Stride: 1, K: 3, M: 320, Pad: 1}
+	for _, name := range []string{"wino2d-m4-k3-vf8", "im2row-pack", "direct-mchw"} {
+		p, err := conv.ByName(conv.Library(), name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := v.Primitive(p, s, 2, 8), mo.Primitive(p, s, 2, 8)*vendorMTTax; got != want {
+			t.Errorf("%s: vendor batch-8 price %g, want the model's %g × %g", name, got, mo.Primitive(p, s, 2, 8), vendorMTTax)
+		}
+		if got := v.EpilogueSaving(p, s, 8); got != 0 {
+			t.Errorf("%s: vendor proxy claims epilogue saving %g", name, got)
+		}
+	}
+	tr := tensor.DirectTransforms()[0]
+	if got, want := v.Transform(tr, 64, 14, 14, 8), mo.Transform(tr, 64, 14, 14, 8); got != want {
+		t.Errorf("vendor batch-8 transform %g, want the model's %g", got, want)
+	}
 }
 
 // countingProfiler counts Transform pricing calls to pin the DT-cache
@@ -375,13 +407,17 @@ type countingProfiler struct {
 	transforms map[[4]int]int // (from, to, c, h·w) → calls — keyed per (transform, shape)
 }
 
-func (c *countingProfiler) Primitive(p *conv.Primitive, s conv.Scenario, threads int) float64 {
-	return c.inner.Primitive(p, s, threads)
+func (c *countingProfiler) Primitive(p *conv.Primitive, s conv.Scenario, threads, n int) float64 {
+	return c.inner.Primitive(p, s, threads, n)
 }
 
-func (c *countingProfiler) Transform(tr tensor.Transform, cc, h, w int) float64 {
+func (c *countingProfiler) Transform(tr tensor.Transform, cc, h, w, n int) float64 {
 	c.transforms[[4]int{int(tr.From), int(tr.To), cc, h*1000 + w}]++
-	return c.inner.Transform(tr, cc, h, w)
+	return c.inner.Transform(tr, cc, h, w, n)
+}
+
+func (c *countingProfiler) EpilogueSaving(p *conv.Primitive, s conv.Scenario, n int) float64 {
+	return c.inner.EpilogueSaving(p, s, n)
 }
 
 // TestDTCacheSharedAcrossBuildAndFinish: the DT closures built while
@@ -450,7 +486,7 @@ func TestSelectBatchRecordsBucket(t *testing.T) {
 // puts several layers near the im2row/wino margin) at least one layer
 // switches primitive under the analytic model alone. Measured
 // (calibrated-table) selection switches more — that path is exercised
-// by the plansweep experiment and the serve calibration tests.
+// by the serve calibration tests and the benchmark's calibrated plans.
 func TestSelectBatchChangesPlan(t *testing.T) {
 	for _, name := range []string{"googlenet", "resnet-18"} {
 		g := mustNet(t, name)
@@ -496,7 +532,7 @@ func TestSelectBatchPrunesUnpricedCandidates(t *testing.T) {
 		checkLegal(t, plan)
 		for _, id := range g.ConvLayers() {
 			s := g.Layers[id].Conv
-			if c := cost.PrimitiveN(tab, plan.Primitives[id], s, 1, b); c <= 0 || c != c || c > 1e9 {
+			if c := tab.Primitive(plan.Primitives[id], s, 1, b); c <= 0 || c != c || c > 1e9 {
 				t.Errorf("batch %d: selected primitive %s has unpriced cost %g", b, plan.Primitives[id].Name, c)
 			}
 		}
@@ -567,7 +603,7 @@ func TestPlanCostBreakdowns(t *testing.T) {
 		}
 		var raw float64
 		for _, id := range net.ConvLayers() {
-			raw += cost.PrimitiveN(opts.Prof, plan.Primitives[id], net.Layers[id].Conv, opts.Threads, b)
+			raw += opts.Prof.Primitive(plan.Primitives[id], net.Layers[id].Conv, opts.Threads, b)
 		}
 		if rel := math.Abs(raw-(plan.NodeCost+plan.FusionCredit)) / raw; rel > 1e-9 {
 			t.Errorf("%s: raw primitive prices sum to %g, NodeCost %g + FusionCredit %g diverges",

@@ -17,7 +17,7 @@ import (
 
 // nodeCost is a convenience wrapper.
 func nodeCost(opts *Options, p *conv.Primitive, s conv.Scenario) float64 {
-	return opts.Prof.Primitive(p, s, opts.Threads)
+	return opts.Prof.Primitive(p, s, opts.Threads, 1)
 }
 
 // cheapest returns the lowest-node-cost primitive among candidates
@@ -79,7 +79,7 @@ func FamilyBest(net *dnn.Graph, family conv.Family, opts Options) (*Plan, error)
 		s := net.Layers[id].Conv
 		pick := cheapest(&opts, members, s)
 		// sum2d runs single-threaded whatever the mode; compare fairly.
-		sumCost := opts.Prof.Primitive(sum, s, 1)
+		sumCost := opts.Prof.Primitive(sum, s, 1, 1)
 		if pick == nil || nodeCost(&opts, pick, s) >= sumCost {
 			pick = sum
 		}
@@ -201,22 +201,26 @@ const armclOverhead = 1.12
 const vendorMTTax = 1.28
 
 // vendorProfiler applies a vendor proxy's multithreaded tax on top of
-// the machine model.
+// the wrapped profiler's prices at every batch size. The vendor
+// libraries it models do not fuse epilogues, so it claims no fusion
+// credit.
 type vendorProfiler struct {
 	inner cost.Profiler
 }
 
-func (v vendorProfiler) Primitive(p *conv.Primitive, s conv.Scenario, threads int) float64 {
-	c := v.inner.Primitive(p, s, threads)
+func (v vendorProfiler) Primitive(p *conv.Primitive, s conv.Scenario, threads, n int) float64 {
+	c := v.inner.Primitive(p, s, threads, n)
 	if threads > 1 {
 		c *= vendorMTTax
 	}
 	return c
 }
 
-func (v vendorProfiler) Transform(tr tensor.Transform, c, h, w int) float64 {
-	return v.inner.Transform(tr, c, h, w)
+func (v vendorProfiler) Transform(tr tensor.Transform, c, h, w, n int) float64 {
+	return v.inner.Transform(tr, c, h, w, n)
 }
+
+func (vendorProfiler) EpilogueSaving(*conv.Primitive, conv.Scenario, int) float64 { return 0 }
 
 // MKLDNNProxy models Intel MKL-DNN 0.10: a strong vendor library with
 // JIT direct convolution on blocked layouts, blocked-GEMM im2col and 2D
