@@ -37,8 +37,9 @@ type Table struct {
 	// "go") was dispatched while the entries were measured. Measured
 	// costs are variant-specific — the microkernels differ ~4× on
 	// GEMM-backed primitives — so a table must only drive selection on
-	// a host dispatching the same variant. Absent in tables written
-	// before runtime dispatch existed (implicitly "go").
+	// a host dispatching the same variant; a calibrating serve.Registry
+	// re-measures a table whose variant differs. Absent in tables
+	// written before runtime dispatch existed (implicitly "go").
 	GemmVariant string `json:"gemm_variant,omitempty"`
 	// Threads is the thread count the entries were profiled at.
 	Threads int `json:"threads"`

@@ -12,6 +12,7 @@ import (
 	"pbqpdnn/internal/dnn"
 	"pbqpdnn/internal/dnn/models"
 	"pbqpdnn/internal/exec"
+	"pbqpdnn/internal/gemm"
 	"pbqpdnn/internal/obs"
 	"pbqpdnn/internal/selector"
 	"pbqpdnn/internal/tensor"
@@ -35,9 +36,10 @@ type Config struct {
 	// the real primitives — batched entry points included) over every
 	// hosted network at every batch bucket, and selection runs against
 	// the resulting table instead of Prof. When TablePath names an
-	// existing file the measured table is loaded from it instead of
-	// re-profiled, so a restarted server reuses its previous
-	// calibration; a fresh calibration is persisted there.
+	// existing file measured under the same packed-GEMM variant and
+	// thread count, the table is loaded from it instead of re-profiled,
+	// so a restarted server reuses its previous calibration; a fresh
+	// calibration is persisted there.
 	Calibrate bool
 	// TablePath is where the calibration table is persisted/reloaded.
 	// Empty means calibrate in memory only (measured every start).
@@ -257,8 +259,11 @@ type Registry struct {
 // calibrationProfiler resolves the profiler a calibrating registry
 // selects against: the table at cfg.TablePath when it exists (a
 // restarted server reuses its previous calibration), else a fresh
-// measured calibration, persisted to cfg.TablePath when set. A reused
-// table is topped up, not trusted blindly: every hosted network is
+// measured calibration, persisted to cfg.TablePath when set. A table
+// measured under another packed-GEMM microkernel or thread count
+// prices a different machine, so it counts as absent: the registry
+// recalibrates from scratch and overwrites the file. A reused table is
+// topped up, not trusted blindly: every hosted network is
 // merged at every current batch bucket (Table.AddNetTopK skips entries
 // already measured), so a restart with a larger -max-batch or a newly
 // hosted model measures exactly the missing entries — instead of
@@ -274,6 +279,15 @@ func calibrationProfiler(names []string, cfg *Config) (*cost.Table, error) {
 			if err != nil {
 				return nil, fmt.Errorf("serve: reusing calibration %s: %w", cfg.TablePath, err)
 			}
+		}
+	}
+	if tab != nil {
+		variant := tab.GemmVariant
+		if variant == "" {
+			variant = "go" // tables written before runtime dispatch
+		}
+		if variant != gemm.Variant() || tab.Threads != cfg.Threads {
+			tab = nil
 		}
 	}
 	fresh := tab == nil

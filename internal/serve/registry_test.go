@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"pbqpdnn/internal/cost"
+	"pbqpdnn/internal/gemm"
 	"pbqpdnn/internal/tensor"
 )
 
@@ -241,6 +242,54 @@ func TestRegistryCalibrateOnStart(t *testing.T) {
 	}
 	if tab3.NumEntries() <= tab.NumEntries() {
 		t.Error("top-up added no measured entries for the new bucket")
+	}
+}
+
+// TestRegistryRecalibratesForeignTable: a table at TablePath stamped
+// with another packed-GEMM variant prices a different machine, so the
+// registry measures afresh and overwrites it instead of reusing it.
+func TestRegistryRecalibratesForeignTable(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "calibration.json")
+	foreign := cost.NewTable("elsewhere", 1)
+	foreign.GemmVariant = "bogus"
+	foreign.Nodes["sentinel"] = map[string]float64{"sum2d": 1}
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := foreign.Save(f); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	reg, err := NewRegistry([]string{"micronet"}, Config{
+		Threads:       1,
+		Calibrate:     true,
+		TablePath:     path,
+		CalibrateReps: 1,
+		CalibrateTopK: 2,
+		Batch:         BatchOptions{MaxBatch: 1, MaxWait: time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg.Close()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, err := cost.LoadTable(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tab.GemmVariant != gemm.Variant() || tab.Machine == "elsewhere" {
+		t.Errorf("table at TablePath is %q/%q, want a fresh %q calibration", tab.Machine, tab.GemmVariant, gemm.Variant())
+	}
+	if _, ok := tab.Nodes["sentinel"]; ok {
+		t.Error("foreign table's entries were reused")
+	}
+	if tab.NumEntries() == 0 {
+		t.Error("recalibrated table is empty")
 	}
 }
 
