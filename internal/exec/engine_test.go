@@ -720,8 +720,7 @@ func TestFastPathsMatchOracleOperators(t *testing.T) {
 }
 
 // TestInPlaceKernelsTolerateAliasing pins the in-place contract the
-// memory planner relies on: ReLU, dropout-copy, two-input add and
-// softmax must produce identical results when dst aliases their (first)
+// memory planner relies on: ReLU, two-input add and softmax must produce identical results when dst aliases their (first)
 // input.
 func TestInPlaceKernelsTolerateAliasing(t *testing.T) {
 	const C, H, W = 6, 9, 7
@@ -731,10 +730,6 @@ func TestInPlaceKernelsTolerateAliasing(t *testing.T) {
 		dst := in.Clone()
 		program.ReLUInto(dst, dst)
 		assertOpMatch(t, "relu-inplace", l, dst, relu(in))
-
-		dst = in.Clone()
-		program.CopyInto(dst, dst)
-		assertOpMatch(t, "copy-inplace", l, dst, in)
 
 		other := randomTensor(l, C, H, W, 305)
 		dst = in.Clone()

@@ -10,7 +10,7 @@ package program
 // slabs for the CHW and HWC layouts. Every fast path is tested against
 // its oracle counterpart across layouts in the exec package's tests.
 //
-// In-place contract: ReLUInto, CopyInto and AddInto tolerate dst
+// In-place contract: ReLUInto and AddInto tolerate dst
 // sharing storage with their (first) input — they read each element
 // before overwriting it and never read across elements. SoftmaxInto is
 // likewise alias-safe (the max/sum passes complete before any write).
@@ -41,14 +41,6 @@ func ReLUInto(dst, in *tensor.Tensor) {
 			d[i] = v
 		}
 	}
-}
-
-// CopyInto copies in's payload into dst (dropout identity). dst and in
-// share layout and shape, so the physical slabs correspond 1:1.
-//
-//dnn:hotpath
-func CopyInto(dst, in *tensor.Tensor) {
-	copy(dst.Data, in.Data)
 }
 
 // AddInto sums the inputs elementwise. When every input shares dst's
