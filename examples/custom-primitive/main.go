@@ -140,8 +140,11 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			fmt.Printf("ensemble output matches reference within %.2e\n",
+			fmt.Printf("max |ensemble - reference| = %.2e (tolerance 1e-3)\n",
 				tensor.MaxAbsDiff(got, want))
+			if !tensor.AlmostEqual(got, want, 1e-3) {
+				log.Fatal("ensemble plan diverged from reference!")
+			}
 		}
 	}
 }
