@@ -440,8 +440,8 @@ func Select(net *dnn.Graph, opts Options) (*Plan, error) {
 // batch bucket: every conv node is priced by the batched entry points
 // at N images (amortized setup for primitives with a real batched
 // implementation, linear scaling for the per-image fallback), and
-// every edge by the cost of converting the N-image slab
-// that actually flows over it. Each bucket therefore gets its own PBQP
+// every edge by the cost of converting the N-image slab that actually
+// flows over it. Each bucket therefore gets its own PBQP
 // instance and, in general, a different optimal plan — batched im2row
 // and wino2d amortize work the per-image primitives cannot, so the
 // cost-optimal primitive per layer genuinely changes with N. The
