@@ -210,23 +210,31 @@ func TestMinibatchScalesCost(t *testing.T) {
 
 // TestMeasureProfiler: the wall-clock profiler returns positive times
 // for primitives with and without a batched entry point, and for a
-// batched transform, at batch 1 and above.
+// transform, at batch 1.
 func TestMeasureProfiler(t *testing.T) {
-	me := NewMeasure(2)
+	checkMeasure(t, NewMeasure(2), 1)
+}
+
+// TestMeasureBatch: the same through one code path at batch 3, where a
+// primitive without a batched entry runs the per-image fallback.
+func TestMeasureBatch(t *testing.T) {
+	checkMeasure(t, NewMeasure(1), 3)
+}
+
+func checkMeasure(t *testing.T, me *Measure, n int) {
+	t.Helper()
 	s := conv.Scenario{C: 4, H: 12, W: 12, Stride: 1, K: 3, M: 4, Pad: 1}
+	for _, name := range []string{"im2col-ab", "im2row-ab", "direct-mchw"} {
+		if c := me.Primitive(prim(t, name), s, 1, n); c <= 0 {
+			t.Errorf("%s at n=%d: measured cost %g must be positive", name, n, c)
+		}
+	}
 	tr := tensor.DirectTransforms()[0]
-	for _, n := range []int{1, 3} {
-		for _, name := range []string{"im2col-ab", "im2row-ab", "direct-mchw"} {
-			if c := me.Primitive(prim(t, name), s, 1, n); c <= 0 {
-				t.Errorf("%s at n=%d: measured cost %g must be positive", name, n, c)
-			}
-		}
-		if c := me.Transform(tr, 4, 12, 12, n); c <= 0 {
-			t.Errorf("transform at n=%d: measured cost %g must be positive", n, c)
-		}
-		if c := me.EpilogueSaving(prim(t, "im2row-ab"), s, n); c != 0 {
-			t.Errorf("n=%d: measured epilogue saving %g, want 0 (none is measured)", n, c)
-		}
+	if c := me.Transform(tr, 4, 12, 12, n); c <= 0 {
+		t.Errorf("transform at n=%d: measured cost %g must be positive", n, c)
+	}
+	if c := me.EpilogueSaving(prim(t, "im2row-ab"), s, n); c != 0 {
+		t.Errorf("n=%d: measured epilogue saving %g, want 0 (none is measured)", n, c)
 	}
 }
 
